@@ -19,7 +19,6 @@ from .characters import (
     ResidueRing,
     additive_character,
     c_sum,
-    char_eval,
     characters_mod,
     jacobi_character,
     kloosterman,

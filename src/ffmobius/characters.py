@@ -20,13 +20,13 @@ import math
 from functools import lru_cache
 
 from .factor import divisor_count, factor, is_irreducible
+from .field import _int_prime_factors
 from .poly import Poly, ext_gcd, gcd, is_squarefree, poly_from_index
 from .poly import _mod, _mul, _powmod, _trim  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
     "characters_mod",
-    "char_eval",
     "jacobi_character",
     "quadratic_character_mod",
     "ResidueRing",
@@ -37,20 +37,6 @@ __all__ = [
     "c_sum",
     "RootOfUnitySum",
 ]
-
-
-def _int_prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class _LocalLogs:
@@ -89,12 +75,12 @@ class _LocalLogs:
         dlog = [-1] * size
         acc = (1,)
         for e in range(self.order):
-            dlog[_residue_index(ctx, acc, d)] = e
+            dlog[_residue_index(ctx, acc)] = e
             acc = rmul(acc, gen)
         self.dlog = dlog
 
 
-def _residue_index(ctx, coeffs, width) -> int:
+def _residue_index(ctx, coeffs) -> int:
     x = 0
     for c in reversed(coeffs):
         x = x * ctx.q + c
@@ -175,7 +161,7 @@ class DirichletCharacter:
                 r = _mod(ctx, f.coeffs, loc.prime.coeffs)
                 if not r:
                     return 0
-                if e and loc.dlog[_residue_index(ctx, r, loc.degree)] % 2:
+                if e and loc.dlog[_residue_index(ctx, r)] % 2:
                     out = -out
             return out
         lcm = self._lcm
@@ -184,7 +170,7 @@ class DirichletCharacter:
             r = _mod(ctx, f.coeffs, loc.prime.coeffs)
             if not r:
                 return 0
-            phase = (phase + e * loc.dlog[_residue_index(ctx, r, loc.degree)] * (lcm // loc.order)) % lcm
+            phase = (phase + e * loc.dlog[_residue_index(ctx, r)] * (lcm // loc.order)) % lcm
         if phase == 0:
             return 1
         return cmath.exp(2j * cmath.pi * phase / lcm)
@@ -209,10 +195,6 @@ def characters_mod(M: Poly):
     locs = tuple(local_logs(p) for p in primes)
     for exps in itertools.product(*(range(loc.order) for loc in locs)):
         yield DirichletCharacter(M, locs, exps)
-
-
-def char_eval(chi: DirichletCharacter, f: Poly):
-    return chi(f)
 
 
 def jacobi_character(E: Poly) -> DirichletCharacter:
@@ -266,7 +248,7 @@ class ResidueRing:
             g, u, _ = ext_gcd(r, M)
             if g.degree == 0:
                 units.append(idx)
-                inv_index[idx] = _residue_index(ctx, _mod(ctx, u.coeffs, mc), self.m)
+                inv_index[idx] = _residue_index(ctx, _mod(ctx, u.coeffs, mc))
         self.units = tuple(units)
         self.inv_index = inv_index
         # trace of multiplication by T^i, as an F_q element, for i < m
@@ -281,7 +263,7 @@ class ResidueRing:
         self._trace_vec = tuple(tvec)
 
     def index(self, f: Poly) -> int:
-        return _residue_index(self.ctx, _mod(self.ctx, f.coeffs, self.M.coeffs), self.m)
+        return _residue_index(self.ctx, _mod(self.ctx, f.coeffs, self.M.coeffs))
 
     def poly(self, idx: int) -> Poly:
         return poly_from_index(self.ctx, idx, self.m)
@@ -290,7 +272,7 @@ class ResidueRing:
         ctx = self.ctx
         a = poly_from_index(ctx, i, self.m).coeffs
         b = poly_from_index(ctx, j, self.m).coeffs
-        return _residue_index(ctx, _mod(ctx, _mul(ctx, a, b), self.M.coeffs), self.m)
+        return _residue_index(ctx, _mod(ctx, _mul(ctx, a, b), self.M.coeffs))
 
     def is_unit(self, idx: int) -> bool:
         return self.inv_index[idx] >= 0
@@ -447,7 +429,7 @@ def rational_kloosterman_aggregate(
             continue
         r = 0
         for s in shifted[:3]:
-            r = _add_index(ring, r, inv[s])
+            r = _shift_index(ring, r, inv[s])
         for s in shifted[3:]:
             r = _sub_index(ring, r, inv[s])
         part = kl_cache.get(r)
@@ -478,10 +460,6 @@ def _shift_index(ring: ResidueRing, i: int, j: int) -> int:
         j //= q
         m *= q
     return out
-
-
-def _add_index(ring, i, j):
-    return _shift_index(ring, i, j)
 
 
 def _sub_index(ring: ResidueRing, i: int, j: int) -> int:

@@ -3,9 +3,11 @@
     ffmobius <experiment> --q P^K [--modulus c0,c1,...] [flags]
              [--d-range lo..hi] [--out json|csv] [--seed S] [--threads N]
 
-Exit status is 0 when every emitted report has ok in {true, null} and
-nonzero when any hard inequality fails.  --canonical drops the wall-clock
-field so identical runs are byte-identical.
+Every report records the --seed value, which seeds nothing (no computation
+is randomized), and its runtime_ms.  --threads is accepted and has no
+effect.  Exit status is 0 when every emitted report has ok in {true, null}
+and nonzero when any hard inequality fails.  --canonical drops the
+wall-clock field so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,57 +16,170 @@ import argparse
 import csv
 import io
 import sys
+import time
+from dataclasses import dataclass
+from typing import Callable
 
-from .arith import singular_series
+from . import experiments
 from .characters import characters_mod, jacobi_character
-from .decomposition import decompose, verify_decomposition
-from .errors import DegenerateClassError
-from .experiments import (
-    c_sum_report,
-    char_sum_check,
-    chowla_sum,
-    convolution_check,
-    derivative_ratio,
-    kloosterman_aggregate_report,
-    kloosterman_report,
-    lambda_ap_sum,
-    main_term_partial,
-    mobius_ap_sum,
-    mobius_inv_additive,
-    mobius_lambda_corr,
-    mobius_prime_power_ap,
-    rk_bound_report,
-    sign_change_search,
-    square_class_count,
-    twin_count,
-    vaughan_check,
-)
 from .field import field_new
 from .poly import Poly, format_poly, parse_poly
 from .report import ExperimentReport, encode_value
 
-EXPERIMENTS = (
-    "char-sum",
-    "rk-bound",
-    "chowla",
-    "mobius-ap",
-    "lambda-ap",
-    "convolution",
-    "vaughan",
-    "main-term",
-    "twin",
-    "mobius-lambda-corr",
-    "mobius-inv-additive",
-    "derivative-ratio",
-    "square-class",
-    "sign-change",
-    "prime-power-ap",
-    "kloosterman",
-    "c-sum",
-    "kloosterman-aggregate",
-    "singular-series",
-    "decompose",
-)
+
+def _arg(flag, convert=None, **kwargs):
+    """One subcommand argument; convert(ctx, raw) turns the parsed string
+    into the value the experiment takes, once the field is known."""
+    return flag, convert, kwargs
+
+
+def _poly(flag, **kwargs):
+    # parse_poly is looked up per call, so wrappers installed on the module
+    # attribute (perfbench/spans.py) still see every call
+    return _arg(flag, lambda ctx, raw: parse_poly(ctx, raw), **kwargs)
+
+
+def _parse_pairs(ctx, raw_pairs):
+    pairs = []
+    for item in raw_pairs:
+        if ":" in item:
+            a_str, m_str = item.split(":", 1)
+        else:
+            a_str, m_str = item, "1"
+        pairs.append((parse_poly(ctx, a_str), parse_poly(ctx, m_str)))
+    return pairs
+
+
+def _parse_shifts(ctx, raw):
+    b = [parse_poly(ctx, s) for s in raw.split(";")]
+    if len(b) != 6:
+        raise SystemExit("--b needs six ';'-separated polynomials")
+    return b
+
+
+def _select_char(ctx, g, spec: str):
+    if spec == "quadratic":
+        return jacobi_character(g)
+    chars = characters_mod(g)
+    if spec == "principal":
+        return next(iter(chars))
+    if spec.startswith("idx:"):
+        want = tuple(int(e) for e in spec[4:].split(","))
+        for chi in chars:
+            if chi.exponents == want:
+                return chi
+        raise SystemExit(f"no character with exponents {want}")
+    raise SystemExit(f"unknown character selector {spec!r}")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its help, its arguments, and the experiments call."""
+
+    help: str
+    run: Callable  # (ctx, args) -> ExperimentReport, args already converted
+    args: tuple = ()  # _arg/_poly declarations
+    sweep: str | None = None  # "d" or "D": the integer degree --d-range replaces
+
+
+# Each subcommand is declared once, here: its help, its arguments (with the
+# conversion of those that name polynomials), the degree --d-range sweeps and
+# the experiments function it calls.  build_parser and _dispatch read it.
+REGISTRY = {
+    "char-sum": Experiment(
+        "short character sum against the binomial bound",
+        lambda ctx, a: experiments.char_sum_check(a.g, _select_char(ctx, a.g, a.char), a.f, a.t),
+        (_poly("--g", required=True, help="squarefree monic modulus"),
+         _arg("--char", default="quadratic", help="principal | quadratic | idx:<e1,e2,...>"),
+         _poly("--f", default="0", help="shift polynomial"),
+         _arg("--t", type=int, required=True, help="interval exponent"))),
+    "rk-bound": Experiment(
+        "splitting-field rank bound r(f, g, t)",
+        lambda ctx, a: experiments.rk_bound_report(a.f, a.g, a.t),
+        (_poly("--f", default="0"), _poly("--g", required=True), _arg("--t", type=int, required=True))),
+    "chowla": Experiment(
+        "sum of products of shifted Mobius values",
+        lambda ctx, a: experiments.chowla_sum(ctx, a.d, a.pair),
+        (_arg("--pair", _parse_pairs, action="append", required=True, help="a or a:M (repeatable)"),),
+        sweep="d"),
+    "mobius-ap": Experiment(
+        "Mobius sum over an arithmetic progression",
+        lambda ctx, a: experiments.mobius_ap_sum(ctx, a.D, a.M, a.a),
+        (_poly("--M", required=True), _poly("--a", required=True)), sweep="D"),
+    "lambda-ap": Experiment(
+        "von Mangoldt sum over a progression",
+        lambda ctx, a: experiments.lambda_ap_sum(ctx, a.D, a.M, a.a),
+        (_poly("--M", required=True), _poly("--a", required=True)), sweep="D"),
+    "convolution": Experiment(
+        "Lambda = -(1 * mu deg) identity check",
+        lambda ctx, a: experiments.convolution_report(a.f),
+        (_poly("--f", required=True),)),
+    "vaughan": Experiment(
+        "bilinear Mobius identity check",
+        lambda ctx, a: experiments.vaughan_report(a.f, a.alpha, a.beta),
+        (_poly("--f", required=True), _arg("--alpha", type=int, required=True),
+         _arg("--beta", type=int, required=True))),
+    "main-term": Experiment(
+        "partial sum of the progression main-term series",
+        lambda ctx, a: experiments.main_term_partial(ctx, a.d, a.M),
+        (_poly("--M", required=True),), sweep="d"),
+    "twin": Experiment(
+        "Lambda(f) Lambda(f+a) pair sum",
+        lambda ctx, a: experiments.twin_count(ctx, a.d, a.a, trunc=a.sing_trunc),
+        (_poly("--a", default="1"), _arg("--sing-trunc", type=int)), sweep="d"),
+    "mobius-lambda-corr": Experiment(
+        "Lambda times Mobius product correlation",
+        lambda ctx, a: experiments.mobius_lambda_corr(ctx, a.d, a.a, a.M, a.pair),
+        (_poly("--a", required=True), _poly("--M", default="1"),
+         _arg("--pair", _parse_pairs, action="append", default=[])), sweep="d"),
+    "mobius-inv-additive": Experiment(
+        "Mobius against inverse additive characters",
+        lambda ctx, a: experiments.mobius_inv_additive(ctx, a.d, a.M, a.psi_h),
+        (_poly("--M", required=True), _poly("--psi-h", default="1")), sweep="d"),
+    "derivative-ratio": Experiment(
+        "density of derivatives in a residue class",
+        lambda ctx, a: experiments.derivative_ratio(ctx, a.d, a.M, a.a),
+        (_poly("--M", required=True), _poly("--a", default="0")), sweep="d"),
+    "square-class": Experiment(
+        "count of a+gM of shape lambda A B^2",
+        lambda ctx, a: experiments.square_class_count(ctx, a.d, a.M, a.A, a.a, alpha=a.alpha),
+        (_poly("--M", default="1"), _poly("--A", default="1"), _poly("--a", default="0"),
+         _arg("--alpha", type=float, default=0.25)), sweep="d"),
+    "sign-change": Experiment(
+        "search both Mobius signs among cube perturbations",
+        lambda ctx, a: experiments.sign_change_search(a.f, a.eta),
+        (_poly("--f", required=True), _arg("--eta", type=float, default=0.5))),
+    "prime-power-ap": Experiment(
+        "Mobius sum over f = 1 mod P^n",
+        lambda ctx, a: experiments.mobius_prime_power_ap(ctx, a.D, a.P, a.n),
+        (_poly("--P", required=True), _arg("--n", type=int, default=1)), sweep="D"),
+    "kloosterman": Experiment(
+        "Kloosterman sum S(x, z)",
+        lambda ctx, a: experiments.kloosterman_report(a.M, a.x, a.z, a.psi_h),
+        (_poly("--M", required=True), _poly("--x", default="1"), _poly("--z", default="1"),
+         _poly("--psi-h", default="1"))),
+    "c-sum": Experiment(
+        "complete twisted-inverse sum C(g, h)",
+        lambda ctx, a: experiments.c_sum_report(a.M, a.g, a.h, a.psi_h),
+        (_poly("--M", required=True), _poly("--g", default="1"), _poly("--h", default="0"),
+         _poly("--psi-h", default="1"))),
+    "kloosterman-aggregate": Experiment(
+        "aggregate Kloosterman sum over a rational map",
+        lambda ctx, a: experiments.kloosterman_aggregate_report(a.M, a.b, a.z),
+        (_poly("--M", required=True),
+         _arg("--b", _parse_shifts, required=True, help="six shifts separated by ';'"),
+         _poly("--z", default="0"))),
+    "singular-series": Experiment(
+        "twin-pair constant by both truncation routes",
+        lambda ctx, a: experiments.singular_series_report(a.a, a.N, a.method),
+        (_poly("--a", default="1"), _arg("--N", type=int, default=4),
+         _arg("--method", choices=("euler-product", "coefficient-sum"), default="euler-product"))),
+    "decompose": Experiment(
+        "Mobius-to-character decomposition of a progression",
+        lambda ctx, a: experiments.decompose_report(a.a, a.M, a.rprime, a.d, a.verify),
+        (_poly("--a", required=True), _poly("--M", default="1"), _poly("--rprime", default="0"),
+         _arg("--d", type=int, required=True), _arg("--verify", action="store_true"))),
+}
 
 
 def _add_common(sp):
@@ -72,8 +187,8 @@ def _add_common(sp):
     sp.add_argument("--p", type=int, help="characteristic (with --k)")
     sp.add_argument("--k", type=int, default=1, help="extension degree")
     sp.add_argument("--modulus", help="field modulus c0,c1,...,ck (low to high)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--seed", type=int, default=0, help="recorded in each report; seeds nothing")
+    sp.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     sp.add_argument("--out", choices=("json", "csv"), default="json")
     sp.add_argument("--canonical", action="store_true", help="omit runtime_ms")
     sp.add_argument("--d-range", dest="d_range", help="sweep the degree: lo..hi")
@@ -82,117 +197,13 @@ def _add_common(sp):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ffmobius", description=__doc__)
     sub = ap.add_subparsers(dest="experiment", required=True)
-
-    def new(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    for name, exp in REGISTRY.items():
+        sp = sub.add_parser(name, help=exp.help)
         _add_common(sp)
-        return sp
-
-    sp = new("char-sum", help="short character sum against the binomial bound")
-    sp.add_argument("--g", required=True, help="squarefree monic modulus")
-    sp.add_argument("--char", default="quadratic", help="principal | quadratic | idx:<e1,e2,...>")
-    sp.add_argument("--f", default="0", help="shift polynomial")
-    sp.add_argument("--t", type=int, required=True, help="interval exponent")
-
-    sp = new("rk-bound", help="splitting-field rank bound r(f, g, t)")
-    sp.add_argument("--f", default="0")
-    sp.add_argument("--g", required=True)
-    sp.add_argument("--t", type=int, required=True)
-
-    sp = new("chowla", help="sum of products of shifted Mobius values")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--pair", action="append", required=True,
-                    help="a or a:M (repeatable)")
-
-    sp = new("mobius-ap", help="Mobius sum over an arithmetic progression")
-    sp.add_argument("--D", type=int, dest="D")
-    sp.add_argument("--M", required=True)
-    sp.add_argument("--a", required=True)
-
-    sp = new("lambda-ap", help="von Mangoldt sum over a progression")
-    sp.add_argument("--D", type=int, dest="D")
-    sp.add_argument("--M", required=True)
-    sp.add_argument("--a", required=True)
-
-    sp = new("convolution", help="Lambda = -(1 * mu deg) identity check")
-    sp.add_argument("--f", required=True)
-
-    sp = new("vaughan", help="bilinear Mobius identity check")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--alpha", type=int, required=True)
-    sp.add_argument("--beta", type=int, required=True)
-
-    sp = new("main-term", help="partial sum of the progression main-term series")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--M", required=True)
-
-    sp = new("twin", help="Lambda(f) Lambda(f+a) pair sum")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--a", default="1")
-    sp.add_argument("--sing-trunc", type=int, dest="sing_trunc")
-
-    sp = new("mobius-lambda-corr", help="Lambda times Mobius product correlation")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--M", default="1")
-    sp.add_argument("--pair", action="append", default=[])
-
-    sp = new("mobius-inv-additive", help="Mobius against inverse additive characters")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--M", required=True)
-    sp.add_argument("--psi-h", dest="psi_h", default="1")
-
-    sp = new("derivative-ratio", help="density of derivatives in a residue class")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--M", required=True)
-    sp.add_argument("--a", default="0")
-
-    sp = new("square-class", help="count of a+gM of shape lambda A B^2")
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--M", default="1")
-    sp.add_argument("--A", default="1")
-    sp.add_argument("--a", default="0")
-    sp.add_argument("--alpha", type=float, default=0.25)
-
-    sp = new("sign-change", help="search both Mobius signs among cube perturbations")
-    sp.add_argument("--f", required=True)
-    sp.add_argument("--eta", type=float, default=0.5)
-
-    sp = new("prime-power-ap", help="Mobius sum over f = 1 mod P^n")
-    sp.add_argument("--D", type=int, dest="D")
-    sp.add_argument("--P", required=True)
-    sp.add_argument("--n", type=int, default=1)
-
-    sp = new("kloosterman", help="Kloosterman sum S(x, z)")
-    sp.add_argument("--M", required=True)
-    sp.add_argument("--x", default="1")
-    sp.add_argument("--z", default="1")
-    sp.add_argument("--psi-h", dest="psi_h", default="1")
-
-    sp = new("c-sum", help="complete twisted-inverse sum C(g, h)")
-    sp.add_argument("--M", required=True)
-    sp.add_argument("--g", default="1")
-    sp.add_argument("--h", default="0")
-    sp.add_argument("--psi-h", dest="psi_h", default="1")
-
-    sp = new("kloosterman-aggregate", help="aggregate Kloosterman sum over a rational map")
-    sp.add_argument("--M", required=True)
-    sp.add_argument("--b", required=True, help="six shifts separated by ';'")
-    sp.add_argument("--z", default="0")
-
-    sp = new("singular-series", help="twin-pair constant by both truncation routes")
-    sp.add_argument("--a", default="1")
-    sp.add_argument("--N", type=int, default=4)
-    sp.add_argument("--method", choices=("euler-product", "coefficient-sum"),
-                    default="euler-product")
-
-    sp = new("decompose", help="Mobius-to-character decomposition of a progression")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--M", default="1")
-    sp.add_argument("--rprime", default="0")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--verify", action="store_true")
-
+        if exp.sweep:
+            sp.add_argument("--" + exp.sweep, type=int)
+        for flag, _, kwargs in exp.args:
+            sp.add_argument(flag, **kwargs)
     return ap
 
 
@@ -213,32 +224,6 @@ def _field_from_args(args):
     return field_new(p, k, modulus)
 
 
-def _parse_pairs(ctx, raw_pairs):
-    pairs = []
-    for item in raw_pairs:
-        if ":" in item:
-            a_str, m_str = item.split(":", 1)
-        else:
-            a_str, m_str = item, "1"
-        pairs.append((parse_poly(ctx, a_str), parse_poly(ctx, m_str)))
-    return pairs
-
-
-def _select_char(ctx, g, spec: str):
-    if spec == "quadratic":
-        return jacobi_character(g)
-    chars = characters_mod(g)
-    if spec == "principal":
-        return next(iter(chars))
-    if spec.startswith("idx:"):
-        want = tuple(int(e) for e in spec[4:].split(","))
-        for chi in chars:
-            if chi.exponents == want:
-                return chi
-        raise SystemExit(f"no character with exponents {want}")
-    raise SystemExit(f"unknown character selector {spec!r}")
-
-
 def _d_values(args, default):
     if args.d_range:
         lo_str, hi_str = args.d_range.split("..", 1)
@@ -249,127 +234,27 @@ def _d_values(args, default):
 
 
 def _dispatch(args, ctx) -> list[ExperimentReport]:
-    seed, threads = args.seed, args.threads
-    name = args.experiment
-    pp = lambda s: parse_poly(ctx, s)  # noqa: E731
-
-    if name == "char-sum":
-        g = pp(args.g)
-        chi = _select_char(ctx, g, args.char)
-        return [char_sum_check(g, chi, pp(args.f), args.t, seed=seed)]
-    if name == "rk-bound":
-        return [rk_bound_report(pp(args.f), pp(args.g), args.t, seed=seed)]
-    if name == "chowla":
-        pairs = _parse_pairs(ctx, args.pair)
-        return [chowla_sum(ctx, d, pairs, seed=seed, threads=threads)
-                for d in _d_values(args, args.d)]
-    if name == "mobius-ap":
-        M, a = pp(args.M), pp(args.a)
-        return [mobius_ap_sum(ctx, D, M, a, seed=seed, threads=threads)
-                for D in _d_values(args, args.D)]
-    if name == "lambda-ap":
-        M, a = pp(args.M), pp(args.a)
-        return [lambda_ap_sum(ctx, D, M, a, seed=seed, threads=threads)
-                for D in _d_values(args, args.D)]
-    if name == "convolution":
-        f = pp(args.f)
-        ok = convolution_check(f)
-        return [ExperimentReport("convolution", (ctx.p, ctx.k), {"f": f},
-                                 value=ok, ok=ok, seed=seed)]
-    if name == "vaughan":
-        f = pp(args.f)
-        ok = vaughan_check(f, args.alpha, args.beta)
-        return [ExperimentReport("vaughan", (ctx.p, ctx.k),
-                                 {"f": f, "alpha": args.alpha, "beta": args.beta},
-                                 value=ok, ok=ok, seed=seed)]
-    if name == "main-term":
-        M = pp(args.M)
-        return [main_term_partial(ctx, d, M, seed=seed) for d in _d_values(args, args.d)]
-    if name == "twin":
-        a = pp(args.a)
-        return [twin_count(ctx, d, a, trunc=args.sing_trunc, seed=seed, threads=threads)
-                for d in _d_values(args, args.d)]
-    if name == "mobius-lambda-corr":
-        a, M = pp(args.a), pp(args.M)
-        pairs = _parse_pairs(ctx, args.pair)
-        return [mobius_lambda_corr(ctx, d, a, M, pairs, seed=seed, threads=threads)
-                for d in _d_values(args, args.d)]
-    if name == "mobius-inv-additive":
-        M, h = pp(args.M), pp(args.psi_h)
-        return [mobius_inv_additive(ctx, d, M, h, seed=seed, threads=threads)
-                for d in _d_values(args, args.d)]
-    if name == "derivative-ratio":
-        M, a = pp(args.M), pp(args.a)
-        return [derivative_ratio(ctx, d, M, a, seed=seed) for d in _d_values(args, args.d)]
-    if name == "square-class":
-        M, A, a = pp(args.M), pp(args.A), pp(args.a)
-        return [square_class_count(ctx, d, M, A, a, alpha=args.alpha, seed=seed)
-                for d in _d_values(args, args.d)]
-    if name == "sign-change":
-        return [sign_change_search(pp(args.f), args.eta, seed=seed)]
-    if name == "prime-power-ap":
-        P = pp(args.P)
-        return [mobius_prime_power_ap(ctx, D, P, args.n, seed=seed, threads=threads)
-                for D in _d_values(args, args.D)]
-    if name == "kloosterman":
-        return [kloosterman_report(pp(args.M), pp(args.x), pp(args.z), pp(args.psi_h), seed=seed)]
-    if name == "c-sum":
-        return [c_sum_report(pp(args.M), pp(args.g), pp(args.h), pp(args.psi_h), seed=seed)]
-    if name == "kloosterman-aggregate":
-        b = [pp(s) for s in args.b.split(";")]
-        if len(b) != 6:
-            raise SystemExit("--b needs six ';'-separated polynomials")
-        return [kloosterman_aggregate_report(pp(args.M), b, pp(args.z), seed=seed)]
-    if name == "singular-series":
-        appr = singular_series(pp(args.a), args.N, args.method)
-        return [ExperimentReport("singular-series", (ctx.p, ctx.k),
-                                 {"a": pp(args.a), "N": args.N, "method": args.method},
-                                 value=appr.value, seed=seed)]
-    if name == "decompose":
-        return [_decompose_report(ctx, args, seed)]
-    raise SystemExit(f"unknown experiment {name!r}")  # pragma: no cover
-
-
-def _decompose_report(ctx, args, seed) -> ExperimentReport:
-    a = parse_poly(ctx, args.a)
-    M = parse_poly(ctx, args.M)
-    rprime = parse_poly(ctx, args.rprime)
-    try:
-        data = decompose(a, M, rprime, args.d)
-    except DegenerateClassError:
-        return ExperimentReport(
-            "decompose", (ctx.p, ctx.k),
-            {"a": a, "M": M, "rprime": rprime, "d": args.d},
-            value=None, ok=True,
-            details={"degenerate_class": True, "all_mu_zero": True},
-            seed=seed,
-        )
-    details = {
-        "D": data.D,
-        "E": data.E,
-        "E1": data.E1,
-        "w": data.w,
-        "chi": data.chi.label(),
-    }
-    ok = None
-    if args.verify:
-        res = verify_decomposition(data, a, M, rprime, args.d)
-        details.update(
-            class_size=res.class_size,
-            checks=res.checks,
-            counterexamples=len(res.counterexamples),
-            all_zero=res.all_zero,
-        )
-        ok = res.ok
-    return ExperimentReport(
-        "decompose", (ctx.p, ctx.k),
-        {"a": a, "M": M, "rprime": rprime, "d": args.d},
-        value=data.S, ok=ok, details=details, seed=seed,
-    )
+    """Convert the arguments, run the experiment once per degree, and stamp
+    each report with the seed and its runtime."""
+    exp = REGISTRY[args.experiment]
+    for flag, convert, _ in exp.args:
+        if convert is not None:
+            dest = flag[2:].replace("-", "_")
+            setattr(args, dest, convert(ctx, getattr(args, dest)))
+    degrees = _d_values(args, getattr(args, exp.sweep)) if exp.sweep else [None]
+    reports = []
+    for d in degrees:
+        if exp.sweep:
+            setattr(args, exp.sweep, d)
+        t0 = time.perf_counter()
+        report = exp.run(ctx, args)
+        report.runtime_ms = int((time.perf_counter() - t0) * 1000)
+        report.seed = args.seed
+        reports.append(report)
+    return reports
 
 
 def _csv_dump(reports) -> str:
-    rows = []
     keys = ["experiment", "p", "k", "seed", "value", "reference", "ratio", "ok", "runtime_ms"]
     param_keys = sorted({k for r in reports for k in r.params})
     header = keys + [f"param:{k}" for k in param_keys]
@@ -392,7 +277,6 @@ def _csv_dump(reports) -> str:
         for k in param_keys:
             v = r.params.get(k)
             row.append(_scalar(v) if v is not None else "")
-        rows.append(row)
         writer.writerow(row)
     return out.getvalue()
 

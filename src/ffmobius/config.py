@@ -1,14 +1,13 @@
-"""Runtime limits and determinism knobs.
+"""Runtime limits and the factorization seed.
 
-Everything that bounds table sizes or seeds randomized algorithms lives
-here, so results are reproducible run to run and failures on oversized
-inputs are loud instead of gradual.
+The caps that bound table sizes and the fixed seed of the randomized
+equal-degree splitting live here, so results are reproducible run to run
+and failures on oversized inputs are loud instead of gradual.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 # Field construction refuses q above this unless FFMOBIUS_TABLE_CAP says otherwise.
 DEFAULT_TABLE_CAP = 1 << 20
@@ -24,26 +23,7 @@ BULK_SIZE_CAP = 1 << 24
 # from it so factorizations do not depend on call order.
 CZ_SEED = 24601
 
-# Enumeration chunk size. Fixed, never derived from the thread count, so
-# partial-sum merge order (and hence every report) is thread-count invariant.
-CHUNK = 1 << 13
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Resource caps consulted by field construction and bulk kernels."""
-
-    table_cap: int = DEFAULT_TABLE_CAP
-    pair_table_cap: int = PAIR_TABLE_CAP
-    bulk_q_cap: int = BULK_Q_CAP
-    bulk_size_cap: int = BULK_SIZE_CAP
-
-
 def field_table_cap() -> int:
     """Field-size cap, overridable via the FFMOBIUS_TABLE_CAP env var."""
     raw = os.environ.get("FFMOBIUS_TABLE_CAP")
     return int(raw) if raw else DEFAULT_TABLE_CAP
-
-
-def default_limits() -> Limits:
-    return Limits(table_cap=field_table_cap())

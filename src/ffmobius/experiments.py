@@ -8,13 +8,16 @@ implied constants are not pinned down at desk scale).
 Exact comparisons are carried out in integers and Fractions; only sums of
 complex unit roots fall back to floats, always with the 1e-9 tolerance and
 magnitudes far below where it could matter.
+
+The bulk sums take their values from the numpy sieve tables where
+sieve.bulk_available allows, and otherwise loop over the monic polynomials
+one at a time.  Their `threads` keyword is accepted for existing callers
+and has no effect: the loops are pure Python, so threads cannot overlap.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +38,9 @@ from .characters import (
     rational_kloosterman_aggregate,
     residue_ring,
 )
-from .config import BULK_SIZE_CAP, CHUNK
-from .errors import ResourceLimitError
+from .config import BULK_SIZE_CAP
+from .decomposition import decompose, verify_decomposition
+from .errors import DegenerateClassError, ResourceLimitError
 from .extension import embed_field, lift_poly
 from .factor import divisors, factor, is_irreducible
 from .field import FieldCtx
@@ -45,9 +49,9 @@ from .poly import (
     format_poly,
     gcd,
     is_squarefree,
-    monic_from_index,
     monics,
     poly_from_index,
+    poly_index,
     polys_below,
 )
 from .report import ExperimentReport
@@ -63,9 +67,12 @@ __all__ = [
     "mobius_ap_sum",
     "lambda_ap_sum",
     "convolution_check",
+    "convolution_report",
     "vaughan_check",
+    "vaughan_report",
     "main_term_partial",
     "twin_count",
+    "singular_series_report",
     "mobius_lambda_corr",
     "mobius_inv_additive",
     "derivative_ratio",
@@ -75,31 +82,8 @@ __all__ = [
     "kloosterman_report",
     "c_sum_report",
     "kloosterman_aggregate_report",
+    "decompose_report",
 ]
-
-
-def _now_ms() -> int:
-    return int(time.perf_counter() * 1000)
-
-
-def _finish(report: ExperimentReport, t0: int) -> ExperimentReport:
-    report.runtime_ms = _now_ms() - t0
-    return report
-
-
-def _chunked_sum(n: int, worker, threads: int = 1, zero=0):
-    """Sum worker(lo, hi) over fixed-size chunks; the chunk layout and the
-    fold order never depend on the thread count."""
-    ranges = [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-    if threads <= 1 or len(ranges) <= 1:
-        parts = [worker(lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: worker(*r), ranges))
-    total = zero
-    for part in parts:
-        total = total + part
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +95,8 @@ def _char_sum_bound(q: int, m: int, t: int) -> float:
     return (math.sqrt(q) + 1) * math.comb(m - 1, t) * q ** (t / 2)
 
 
-def char_sum_check(g: Poly, chi: DirichletCharacter, f: Poly, t: int, seed: int = 0) -> ExperimentReport:
+def char_sum_check(g: Poly, chi: DirichletCharacter, f: Poly, t: int) -> ExperimentReport:
     """|sum over deg h < t of chi(f+h)| against (sqrt(q)+1) C(m-1,t) q^(t/2)."""
-    t0 = _now_ms()
     ctx = g.ctx
     m = g.degree
     if chi.is_principal:
@@ -130,7 +113,7 @@ def char_sum_check(g: Poly, chi: DirichletCharacter, f: Poly, t: int, seed: int 
         value = abs(sum(complex(chi(f + h)) for h in polys_below(ctx, t)))
     reference = _char_sum_bound(ctx.q, m, t)
     ratio = value / reference if reference > 0 else (0.0 if value <= 1e-9 else math.inf)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="char-sum",
         field=(ctx.p, ctx.k),
         params={"g": g, "char": chi.label(), "f": f, "t": t},
@@ -139,9 +122,7 @@ def char_sum_check(g: Poly, chi: DirichletCharacter, f: Poly, t: int, seed: int 
         reference=reference,
         ratio=ratio,
         ok=value <= reference + 1e-9,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
 @dataclass
@@ -149,27 +130,6 @@ class CharSumSweep:
     checks: int
     violations: int
     max_ratio: float
-
-
-def _residue_shift_perms(ctx: FieldCtx, m: int) -> list[list[np.ndarray]]:
-    """perm[j][c][x] = index of x + c*T^j in the residue index space."""
-    key = (ctx.key, "shiftperm", m)
-    hit = sieve._cache.get(key)
-    if hit is not None:
-        return hit
-    q = ctx.q
-    idx = np.arange(q**m, dtype=np.int64)
-    add2, _ = sieve._tables(ctx)
-    perms = []
-    for j in range(m):
-        step = q**j
-        digit = (idx // step) % q
-        row = []
-        for c in range(q):
-            row.append(idx + (add2[digit, c] - digit) * step)
-        perms.append(row)
-    sieve._cache[key] = perms
-    return perms
 
 
 def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSweep:
@@ -184,7 +144,7 @@ def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSwee
     size = q**m
     if size * 600 > BULK_SIZE_CAP:
         raise ResourceLimitError("character sweep too large")
-    perms = _residue_shift_perms(ctx, m)
+    perms = sieve.shift_index_maps(ctx, m)
     checks = violations = 0
     max_ratio = 0.0
     bounds = [_char_sum_bound(q, m, t) for t in range(m + 1)]
@@ -201,7 +161,7 @@ def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSwee
             col = np.empty(size, dtype=np.int64)
             for x in range(size):
                 r = poly_from_index(ctx, x, m) % pc
-                col[x] = loc.dlog[_residue_idx(ctx, r, loc.degree)] if not r.is_zero else -1
+                col[x] = loc.dlog[poly_index(r)] if not r.is_zero else -1
             dlogs[i] = col
         zero_mask = (dlogs < 0).any(axis=0)
         safe_dlogs = np.where(dlogs < 0, 0, dlogs)
@@ -237,13 +197,6 @@ def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSwee
     return CharSumSweep(checks=checks, violations=violations, max_ratio=max_ratio)
 
 
-def _residue_idx(ctx, r: Poly, width: int) -> int:
-    x = 0
-    for c in reversed(r.coeffs):
-        x = x * ctx.q + c
-    return x
-
-
 def rk_bound(f: Poly, g: Poly, t: int) -> tuple[int, bool]:
     """r(f, g, t): over the splitting field of g, sum C(deg gcd(f+h, g)-1, t)
     for deg h < t with gcd degree above t; checked against C(m-1, t)."""
@@ -268,11 +221,10 @@ def rk_bound(f: Poly, g: Poly, t: int) -> tuple[int, bool]:
     return r, r <= math.comb(m - 1, t)
 
 
-def rk_bound_report(f: Poly, g: Poly, t: int, seed: int = 0) -> ExperimentReport:
-    t0 = _now_ms()
+def rk_bound_report(f: Poly, g: Poly, t: int) -> ExperimentReport:
     r, ok = rk_bound(f, g, t)
     ref = math.comb(g.degree - 1, t)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="rk-bound",
         field=(g.ctx.p, g.ctx.k),
         params={"f": f, "g": g, "t": t},
@@ -281,9 +233,7 @@ def rk_bound_report(f: Poly, g: Poly, t: int, seed: int = 0) -> ExperimentReport
         reference=ref,
         ratio=r / ref if ref else (0.0 if r == 0 else math.inf),
         ok=ok,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +251,13 @@ def _check_pairs_distinct(pairs) -> None:
 
 
 def _mu_of_progression(ctx, a: Poly, M: Poly, d: int):
-    """mu(a + gM) over monic g of degree d as an int array, bulk or loop."""
-    d_out = max(a.degree if not a.is_zero else -1, d + M.degree)
-    if sieve.bulk_available(ctx, d) and sieve.bulk_available(ctx, d_out):
-        deg, idx = sieve.affine_index_map(ctx, a, M, d)
-        return sieve.mobius_table(ctx, deg)[idx].astype(np.int64)
-    return np.array([mobius(a + g * M) for g in monics(ctx, d)], dtype=np.int64)
+    """mu(a + gM) over monic g of degree d as an int array, from the sieve."""
+    deg, idx = sieve.affine_index_map(ctx, a, M, d)
+    return sieve.mobius_table(ctx, deg)[idx].astype(np.int64)
 
 
-def chowla_sum(ctx: FieldCtx, d: int, pairs, seed: int = 0, threads: int = 1) -> ExperimentReport:
+def chowla_sum(ctx: FieldCtx, d: int, pairs, threads: int = 1) -> ExperimentReport:
     """Exact sum over monic g of degree d of prod_i mu(a_i + g M_i)."""
-    t0 = _now_ms()
     if not pairs:
         raise ValueError("need at least one (a, M) pair")
     for a, M in pairs:
@@ -330,21 +276,16 @@ def chowla_sum(ctx: FieldCtx, d: int, pairs, seed: int = 0, threads: int = 1) ->
             prod = prod * _mu_of_progression(ctx, a, M, d)
         value = int(prod.sum())
     else:
-        def worker(lo, hi):
-            acc = 0
-            for i in range(lo, hi):
-                g = monic_from_index(ctx, d, i)
-                term = 1
-                for a, M in pairs:
-                    term *= mobius(a + g * M)
-                    if term == 0:
-                        break
-                acc += term
-            return acc
-
-        value = _chunked_sum(q**d, worker, threads)
+        value = 0
+        for g in monics(ctx, d):
+            term = 1
+            for a, M in pairs:
+                term *= mobius(a + g * M)
+                if term == 0:
+                    break
+            value += term
     reference = q**d
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="chowla",
         field=(ctx.p, ctx.k),
         params={"d": d, "pairs": [f"{format_poly(a)}:{format_poly(M)}" for a, M in pairs]},
@@ -353,14 +294,11 @@ def chowla_sum(ctx: FieldCtx, d: int, pairs, seed: int = 0, threads: int = 1) ->
         reference=reference,
         ratio=abs(value) / reference,
         ok=None,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
-def mobius_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, seed: int = 0, threads: int = 1) -> ExperimentReport:
+def mobius_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, threads: int = 1) -> ExperimentReport:
     """Exact sum of mu over monic f of degree D with f = a mod M."""
-    t0 = _now_ms()
     if gcd(a, M).degree != 0:
         raise ValueError("a must be coprime to M")
     m = M.degree
@@ -372,14 +310,9 @@ def mobius_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, seed: int = 0, thread
         deg, idx = sieve.affine_index_map(ctx, r, M, e)
         value = int(sieve.mobius_table(ctx, deg)[idx].astype(np.int64).sum())
     else:
-        def worker(lo, hi):
-            return sum(
-                mobius(r + monic_from_index(ctx, e, i) * M) for i in range(lo, hi)
-            )
-
-        value = _chunked_sum(ctx.q**e, worker, threads)
+        value = sum(mobius(r + g * M) for g in monics(ctx, e))
     reference = ctx.q ** (D - m)  # the trivial scale X / |M|
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="mobius-ap",
         field=(ctx.p, ctx.k),
         params={"D": D, "M": M, "a": a},
@@ -388,14 +321,11 @@ def mobius_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, seed: int = 0, thread
         reference=reference,
         ratio=abs(value) / reference,
         ok=None,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
-def lambda_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, seed: int = 0, threads: int = 1) -> ExperimentReport:
+def lambda_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, threads: int = 1) -> ExperimentReport:
     """Exact sum of Lambda over the progression, reported against q^D/phi(M)."""
-    t0 = _now_ms()
     if gcd(a, M).degree != 0:
         raise ValueError("a must be coprime to M")
     if not is_squarefree(M):
@@ -409,16 +339,11 @@ def lambda_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, seed: int = 0, thread
         deg, idx = sieve.affine_index_map(ctx, r, M, e)
         value = int(sieve.lambda_table(ctx, deg)[idx].astype(np.int64).sum())
     else:
-        def worker(lo, hi):
-            return sum(
-                von_mangoldt(r + monic_from_index(ctx, e, i) * M) for i in range(lo, hi)
-            )
-
-        value = _chunked_sum(ctx.q**e, worker, threads)
+        value = sum(von_mangoldt(r + g * M) for g in monics(ctx, e))
     phi = euler_phi(M)
     main = Fraction(ctx.q**D, phi)
     err = value - main
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="lambda-ap",
         field=(ctx.p, ctx.k),
         params={"D": D, "M": M, "a": a},
@@ -428,14 +353,11 @@ def lambda_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, seed: int = 0, thread
         ratio=float(abs(err) * phi / ctx.q**D),
         ok=None,
         details={"error": err},
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
-def mobius_lambda_corr(ctx: FieldCtx, d: int, a: Poly, M: Poly, pairs, seed: int = 0, threads: int = 1) -> ExperimentReport:
+def mobius_lambda_corr(ctx: FieldCtx, d: int, a: Poly, M: Poly, pairs, threads: int = 1) -> ExperimentReport:
     """Exact sum over monic g of degree d of Lambda(a+gM) prod mu(a_i+g M_i)."""
-    t0 = _now_ms()
     if gcd(a, M).degree != 0:
         raise ValueError("a must be coprime to M")
     if a.degree == d + M.degree:
@@ -458,23 +380,18 @@ def mobius_lambda_corr(ctx: FieldCtx, d: int, a: Poly, M: Poly, pairs, seed: int
             acc = acc * _mu_of_progression(ctx, ai, Mi, d)
         value = int(acc.sum())
     else:
-        def worker(lo, hi):
-            total = 0
-            for i in range(lo, hi):
-                g = monic_from_index(ctx, d, i)
-                term = von_mangoldt(a + g * M)
+        value = 0
+        for g in monics(ctx, d):
+            term = von_mangoldt(a + g * M)
+            if term == 0:
+                continue
+            for ai, Mi in pairs:
+                term *= mobius(ai + g * Mi)
                 if term == 0:
-                    continue
-                for ai, Mi in pairs:
-                    term *= mobius(ai + g * Mi)
-                    if term == 0:
-                        break
-                total += term
-            return total
-
-        value = _chunked_sum(ctx.q**d, worker, threads)
+                    break
+            value += term
     reference = ctx.q**d
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="mobius-lambda-corr",
         field=(ctx.p, ctx.k),
         params={"d": d, "a": a, "M": M,
@@ -484,14 +401,11 @@ def mobius_lambda_corr(ctx: FieldCtx, d: int, a: Poly, M: Poly, pairs, seed: int
         reference=reference,
         ratio=abs(value) / reference,
         ok=None,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
-def mobius_prime_power_ap(ctx: FieldCtx, D: int, P: Poly, n: int, seed: int = 0, threads: int = 1) -> ExperimentReport:
+def mobius_prime_power_ap(ctx: FieldCtx, D: int, P: Poly, n: int, threads: int = 1) -> ExperimentReport:
     """Exact sum of mu over monic f of degree D with f = 1 mod P^n."""
-    t0 = _now_ms()
     if not is_irreducible(P):
         raise ValueError("P must be irreducible")
     if n < 1:
@@ -506,14 +420,9 @@ def mobius_prime_power_ap(ctx: FieldCtx, D: int, P: Poly, n: int, seed: int = 0,
         deg, idx = sieve.affine_index_map(ctx, one, Pn, e)
         value = int(sieve.mobius_table(ctx, deg)[idx].astype(np.int64).sum())
     else:
-        def worker(lo, hi):
-            return sum(
-                mobius(one + monic_from_index(ctx, e, i) * Pn) for i in range(lo, hi)
-            )
-
-        value = _chunked_sum(ctx.q**e, worker, threads)
+        value = sum(mobius(one + g * Pn) for g in monics(ctx, e))
     reference = ctx.q ** (D - n * dP)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="prime-power-ap",
         field=(ctx.p, ctx.k),
         params={"D": D, "P": P, "n": n},
@@ -522,9 +431,7 @@ def mobius_prime_power_ap(ctx: FieldCtx, D: int, P: Poly, n: int, seed: int = 0,
         reference=reference,
         ratio=abs(value) / reference,
         ok=None,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +473,20 @@ def vaughan_check(f: Poly, alpha: int, beta: int) -> bool:
     return mobius(f) == -small + large
 
 
-def main_term_partial(ctx: FieldCtx, d: int, M: Poly, seed: int = 0) -> ExperimentReport:
+def convolution_report(f: Poly) -> ExperimentReport:
+    ok = convolution_check(f)
+    return ExperimentReport("convolution", (f.ctx.p, f.ctx.k), {"f": f}, value=ok, ok=ok)
+
+
+def vaughan_report(f: Poly, alpha: int, beta: int) -> ExperimentReport:
+    ok = vaughan_check(f, alpha, beta)
+    return ExperimentReport("vaughan", (f.ctx.p, f.ctx.k),
+                            {"f": f, "alpha": alpha, "beta": beta}, value=ok, ok=ok)
+
+
+def main_term_partial(ctx: FieldCtx, d: int, M: Poly) -> ExperimentReport:
     """Partial series sum_{k<=d} k q^-k sum_{A monic deg k, (A,M)=1} mu(A),
     reported against its limit -q^m/phi(M)."""
-    t0 = _now_ms()
     if not is_squarefree(M) or not M.is_monic:
         raise ValueError("M must be squarefree monic")
     q = ctx.q
@@ -582,7 +499,7 @@ def main_term_partial(ctx: FieldCtx, d: int, M: Poly, seed: int = 0) -> Experime
         total += Fraction(k * inner, q**k)
     reference = -Fraction(q**M.degree, euler_phi(M)) if M.degree >= 1 else -Fraction(1)
     diff = abs(total - reference)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="main-term",
         field=(ctx.p, ctx.k),
         params={"d": d, "M": M},
@@ -592,9 +509,7 @@ def main_term_partial(ctx: FieldCtx, d: int, M: Poly, seed: int = 0) -> Experime
         ratio=float(diff),
         ok=None,
         details={"difference": diff},
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +517,9 @@ def main_term_partial(ctx: FieldCtx, d: int, M: Poly, seed: int = 0) -> Experime
 # ---------------------------------------------------------------------------
 
 
-def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, seed: int = 0, threads: int = 1) -> ExperimentReport:
+def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, threads: int = 1) -> ExperimentReport:
     """Exact sum of Lambda(f) Lambda(f+a) over monic f of degree d, plus the
     raw count of irreducible pairs, against the singular series times q^d."""
-    t0 = _now_ms()
     if a.is_zero or not a.degree < d:
         raise ValueError("need 0 <= deg a < d and a nonzero")
     N = trunc if trunc is not None else d
@@ -618,25 +532,18 @@ def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, seed: i
         mask = sieve.prime_mask(ctx, d)
         prime_pairs = int((mask & mask[idx]).sum())
     else:
-        def worker(lo, hi):
-            acc = 0
-            pairs = 0
-            for i in range(lo, hi):
-                f = monic_from_index(ctx, d, i)
-                lf = von_mangoldt(f)
-                if lf == 0:
-                    continue
-                lg = von_mangoldt(f + a)
-                acc += lf * lg
-                if lf == d and lg == d:
-                    pairs += 1
-            return np.array([acc, pairs], dtype=np.int64)
-
-        both = _chunked_sum(ctx.q**d, worker, threads, zero=np.zeros(2, dtype=np.int64))
-        value, prime_pairs = int(both[0]), int(both[1])
+        value = prime_pairs = 0
+        for f in monics(ctx, d):
+            lf = von_mangoldt(f)
+            if lf == 0:
+                continue
+            lg = von_mangoldt(f + a)
+            value += lf * lg
+            if lf == d and lg == d:
+                prime_pairs += 1
     series = singular_series(a, N)
     reference = series.value * ctx.q**d
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="twin",
         field=(ctx.p, ctx.k),
         params={"d": d, "a": a, "sing_trunc": N},
@@ -646,9 +553,14 @@ def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, seed: i
         ratio=float(Fraction(value) / reference) if reference else math.inf,
         ok=None,
         details={"prime_pairs": prime_pairs},
-        seed=seed,
     )
-    return _finish(report, t0)
+
+
+def singular_series_report(a: Poly, N: int, method: str = "euler-product") -> ExperimentReport:
+    """The twin-pair constant for shift a, truncated at N by either route."""
+    appr = singular_series(a, N, method)
+    return ExperimentReport("singular-series", (a.ctx.p, a.ctx.k),
+                            {"a": a, "N": N, "method": method}, value=appr.value)
 
 
 # ---------------------------------------------------------------------------
@@ -656,35 +568,27 @@ def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, seed: i
 # ---------------------------------------------------------------------------
 
 
-def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None, seed: int = 0, threads: int = 1) -> ExperimentReport:
+def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None) -> ExperimentReport:
     """sum over monic g of degree d coprime to M of mu(g) psi_h(inverse of g),
     against the subsquare-root reference q^(3m/16 + 25d/32)."""
-    t0 = _now_ms()
     if not is_squarefree(M) or not M.is_monic or M.degree < 1:
         raise ValueError("M must be squarefree monic nonconstant")
     ring = residue_ring(M)
     psi = AdditiveCharacter(ring, h if h is not None else Poly.one(ctx))
     p = ctx.p
-
-    def worker(lo, hi):
-        counts = np.zeros(p, dtype=np.int64)
-        for i in range(lo, hi):
-            g = monic_from_index(ctx, d, i)
-            idx = ring.index(g)
-            inv = ring.inv_index[idx]
-            if inv < 0:
-                continue
-            mu = mobius(g)
-            if mu == 0:
-                continue
-            counts[psi.exponent_index(inv)] += mu
-        return counts
-
-    counts = _chunked_sum(ctx.q**d, worker, threads, zero=np.zeros(p, dtype=np.int64))
-    value = complex(sum(int(c) * np.exp(2j * np.pi * v / p) for v, c in enumerate(counts) if c))
+    counts = [0] * p
+    for g in monics(ctx, d):
+        inv = ring.inv_index[ring.index(g)]
+        if inv < 0:
+            continue
+        mu = mobius(g)
+        if mu == 0:
+            continue
+        counts[psi.exponent_index(inv)] += mu
+    value = complex(sum(c * np.exp(2j * np.pi * v / p) for v, c in enumerate(counts) if c))
     m = M.degree
     reference = ctx.q ** (3 * m / 16 + 25 * d / 32)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="mobius-inv-additive",
         field=(ctx.p, ctx.k),
         params={"d": d, "M": M, "h": psi.h},
@@ -693,9 +597,7 @@ def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None, s
         ratio=abs(value) / reference,
         ok=None,
         details={"trivial_bound": ctx.q**d},
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -703,10 +605,9 @@ def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None, s
 # ---------------------------------------------------------------------------
 
 
-def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly, seed: int = 0) -> ExperimentReport:
+def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly) -> ExperimentReport:
     """Fraction of attained derivatives g' (g monic of degree d) lying in the
     class a mod M, against the exact bound q^-min(m, floor((d-1)/p))."""
-    t0 = _now_ms()
     if not is_squarefree(M) or not M.is_monic:
         raise ValueError("M must be squarefree monic")
     p = ctx.p
@@ -727,7 +628,7 @@ def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly, seed: int = 0) -> 
             numerator += 1
     value = Fraction(numerator, denominator)
     reference = Fraction(1, ctx.q ** min(M.degree, (d - 1) // p))
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="derivative-ratio",
         field=(ctx.p, ctx.k),
         params={"d": d, "M": M, "a": a},
@@ -737,15 +638,12 @@ def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly, seed: int = 0) -> 
         ratio=float(value / reference) if reference else math.inf,
         ok=value <= reference,
         details={"numerator": numerator, "denominator": denominator},
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
-def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: float = 0.25, seed: int = 0) -> ExperimentReport:
+def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: float = 0.25) -> ExperimentReport:
     """Count g with deg g < d and a + gM = lambda A B^2 (lambda a unit),
     reported against q^((1/2+alpha)d); advisory, no pinned constant."""
-    t0 = _now_ms()
     if not (M.is_monic and A.is_monic):
         raise ValueError("M and A must be monic")
     count = 0
@@ -764,7 +662,7 @@ def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: 
         if all(mult % 2 == 0 for _, mult in factor(h).factors):
             count += 1
     reference = ctx.q ** ((0.5 + alpha) * d)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="square-class",
         field=(ctx.p, ctx.k),
         params={"d": d, "M": M, "A": A, "a": a, "alpha": alpha},
@@ -773,9 +671,7 @@ def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: 
         reference=reference,
         ratio=count / reference,
         ok=None,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +679,7 @@ def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: 
 # ---------------------------------------------------------------------------
 
 
-def sign_change_search(f: Poly, eta: float, seed: int = 0) -> ExperimentReport:
+def sign_change_search(f: Poly, eta: float) -> ExperimentReport:
     """Search for both Mobius signs among cube perturbations of f.
 
     Normalizes the coefficients of f below degree c (c the largest even
@@ -792,7 +688,6 @@ def sign_change_search(f: Poly, eta: float, seed: int = 0) -> ExperimentReport:
     monic b of degree floor(c/3) first, then larger b while the total
     perturbation stays within deg <= eta * deg f.
     """
-    t0 = _now_ms()
     ctx = f.ctx
     if ctx.p != 3:
         raise ValueError("sign-change search requires characteristic 3")
@@ -846,7 +741,7 @@ def sign_change_search(f: Poly, eta: float, seed: int = 0) -> ExperimentReport:
     }
     if warning:
         details["warning"] = warning
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="sign-change",
         field=(ctx.p, ctx.k),
         params={"f": f, "eta": eta},
@@ -855,9 +750,7 @@ def sign_change_search(f: Poly, eta: float, seed: int = 0) -> ExperimentReport:
         ratio=None,
         ok=ok,
         details=details,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +758,7 @@ def sign_change_search(f: Poly, eta: float, seed: int = 0) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def kloosterman_report(M: Poly, x: Poly, z: Poly, h: Poly | None = None, seed: int = 0) -> ExperimentReport:
-    t0 = _now_ms()
+def kloosterman_report(M: Poly, x: Poly, z: Poly, h: Poly | None = None) -> ExperimentReport:
     ctx = M.ctx
     ring = residue_ring(M)
     psi = AdditiveCharacter(ring, h if h is not None else Poly.one(ctx))
@@ -878,7 +770,7 @@ def kloosterman_report(M: Poly, x: Poly, z: Poly, h: Poly | None = None, seed: i
         if xi and zi:
             reference = 2 * math.sqrt(ring.size)
             ok = abs(value) <= reference + 1e-9
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="kloosterman",
         field=(ctx.p, ctx.k),
         params={"M": M, "x": x, "z": z, "h": psi.h},
@@ -886,18 +778,15 @@ def kloosterman_report(M: Poly, x: Poly, z: Poly, h: Poly | None = None, seed: i
         reference=reference,
         ratio=abs(value) / reference if reference else None,
         ok=ok,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
-def c_sum_report(M: Poly, g: Poly, h: Poly, twist: Poly | None = None, seed: int = 0) -> ExperimentReport:
-    t0 = _now_ms()
+def c_sum_report(M: Poly, g: Poly, h: Poly, twist: Poly | None = None) -> ExperimentReport:
     ctx = M.ctx
     ring = residue_ring(M)
     psi = AdditiveCharacter(ring, twist if twist is not None else Poly.one(ctx))
     value, bound, ok = c_sum(M, psi, g, h)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="c-sum",
         field=(ctx.p, ctx.k),
         params={"M": M, "g": g, "h": h, "psi_h": psi.h},
@@ -905,16 +794,13 @@ def c_sum_report(M: Poly, g: Poly, h: Poly, twist: Poly | None = None, seed: int
         reference=bound,
         ratio=abs(value) / bound if bound else None,
         ok=ok,
-        seed=seed,
     )
-    return _finish(report, t0)
 
 
-def kloosterman_aggregate_report(M: Poly, b, z: Poly, seed: int = 0) -> ExperimentReport:
-    t0 = _now_ms()
+def kloosterman_aggregate_report(M: Poly, b, z: Poly) -> ExperimentReport:
     ctx = M.ctx
     value, bound, ok = rational_kloosterman_aggregate(M, tuple(b), z)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="kloosterman-aggregate",
         field=(ctx.p, ctx.k),
         params={"M": M, "b": list(b), "z": z},
@@ -922,6 +808,33 @@ def kloosterman_aggregate_report(M: Poly, b, z: Poly, seed: int = 0) -> Experime
         reference=bound,
         ratio=abs(value) / bound if bound else None,
         ok=ok,
-        seed=seed,
     )
-    return _finish(report, t0)
+
+
+# ---------------------------------------------------------------------------
+# The Mobius-to-character decomposition of a progression.
+# ---------------------------------------------------------------------------
+
+
+def decompose_report(a: Poly, M: Poly, rprime: Poly, d: int, verify: bool = False) -> ExperimentReport:
+    """decompose(a, M, rprime, d), and with verify the class-wide check."""
+    ctx = a.ctx
+    params = {"a": a, "M": M, "rprime": rprime, "d": d}
+    try:
+        data = decompose(a, M, rprime, d)
+    except DegenerateClassError:
+        return ExperimentReport("decompose", (ctx.p, ctx.k), params, value=None, ok=True,
+                                details={"degenerate_class": True, "all_mu_zero": True})
+    details = {"D": data.D, "E": data.E, "E1": data.E1, "w": data.w, "chi": data.chi.label()}
+    ok = None
+    if verify:
+        res = verify_decomposition(data, a, M, rprime, d)
+        details.update(
+            class_size=res.class_size,
+            checks=res.checks,
+            counterexamples=len(res.counterexamples),
+            all_zero=res.all_zero,
+        )
+        ok = res.ok
+    return ExperimentReport("decompose", (ctx.p, ctx.k), params,
+                            value=data.S, ok=ok, details=details)

@@ -29,6 +29,7 @@ __all__ = [
     "mobius_table",
     "lambda_table",
     "affine_index_map",
+    "shift_index_maps",
     "mobius_degree_sum",
     "lambda_degree_sum",
 ]
@@ -264,6 +265,25 @@ def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.n
             digit = (out // step) % q
             out = out + (add2[digit, aj] - digit) * step
     return d_out, out
+
+
+def shift_index_maps(ctx: FieldCtx, m: int) -> list[list[np.ndarray]]:
+    """maps[j][c][x] = index of x + c*T^j, over the q^m polynomials of
+    degree < m in base-q index order."""
+    key = (ctx.key, "shiftmaps", m)
+    hit = _cache.get(key)
+    if hit is not None:
+        return hit
+    q = ctx.q
+    idx = np.arange(q**m, dtype=np.int64)
+    add2, _ = _tables(ctx)
+    maps = []
+    for j in range(m):
+        step = q**j
+        digit = (idx // step) % q
+        maps.append([idx + (add2[digit, c] - digit) * step for c in range(q)])
+    _cache[key] = maps
+    return maps
 
 
 def mobius_degree_sum(ctx: FieldCtx, d: int) -> int:

@@ -55,7 +55,7 @@ def test_canonical_output_matches_golden():
 
 
 def test_every_subcommand_is_covered():
-    assert {argv[0] for argv in INVOCATIONS} == set(cli.EXPERIMENTS)
+    assert {argv[0] for argv in INVOCATIONS} == set(cli.REGISTRY)
 
 
 if __name__ == "__main__":
