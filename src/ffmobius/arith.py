@@ -4,8 +4,10 @@ inverses, and the twin-pair singular series.
 
 mobius() is the discriminant route - sign times the quadratic character
 of the discriminant - which needs no factoring and is the default for
-consumers; mobius_oracle() recomputes the value from the factorization
-oracle and exists so the two can be checked against each other.
+consumers; in characteristic 2, where that route does not exist, it falls
+back to the factorization oracle.  mobius_oracle() recomputes the value from
+the factorization oracle and exists so the two can be checked against each
+other.
 """
 
 from __future__ import annotations
@@ -44,7 +46,12 @@ def mobius_pellet(f: Poly) -> int:
     return sign * ctx.quad_char(discriminant(f))
 
 
-mobius = mobius_pellet
+def mobius(f: Poly) -> int:
+    """mu(f) for monic f: the discriminant route in odd characteristic, the
+    factorization oracle in characteristic 2."""
+    if f.ctx.p == 2:
+        return mobius_oracle(f)
+    return mobius_pellet(f)
 
 
 def mobius_oracle(f: Poly) -> int:

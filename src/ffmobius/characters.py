@@ -19,10 +19,11 @@ import cmath
 import math
 from functools import lru_cache
 
+from .config import RING_TABLE_CAP
 from .factor import divisor_count, factor, is_irreducible
 from .field import _int_prime_factors
 from .poly import Poly, ext_gcd, gcd, is_squarefree, poly_from_index
-from .poly import _mod, _mul, _powmod, _trim  # tuple kernels
+from .poly import _digits, _index, _mod, _mul, _powmod, _trim  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -75,16 +76,9 @@ class _LocalLogs:
         dlog = [-1] * size
         acc = (1,)
         for e in range(self.order):
-            dlog[_residue_index(ctx, acc)] = e
+            dlog[_index(ctx.q, acc)] = e
             acc = rmul(acc, gen)
         self.dlog = dlog
-
-
-def _residue_index(ctx, coeffs) -> int:
-    x = 0
-    for c in reversed(coeffs):
-        x = x * ctx.q + c
-    return x
 
 
 @lru_cache(maxsize=256)
@@ -161,7 +155,7 @@ class DirichletCharacter:
                 r = _mod(ctx, f.coeffs, loc.prime.coeffs)
                 if not r:
                     return 0
-                if e and loc.dlog[_residue_index(ctx, r)] % 2:
+                if e and loc.dlog[_index(ctx.q, r)] % 2:
                     out = -out
             return out
         lcm = self._lcm
@@ -170,7 +164,7 @@ class DirichletCharacter:
             r = _mod(ctx, f.coeffs, loc.prime.coeffs)
             if not r:
                 return 0
-            phase = (phase + e * loc.dlog[_residue_index(ctx, r)] * (lcm // loc.order)) % lcm
+            phase = (phase + e * loc.dlog[_index(ctx.q, r)] * (lcm // loc.order)) % lcm
         if phase == 0:
             return 1
         return cmath.exp(2j * cmath.pi * phase / lcm)
@@ -227,9 +221,14 @@ def quadratic_character_mod(E: Poly, E1: Poly) -> DirichletCharacter:
 
 class ResidueRing:
     """A = F_q[T]/(M) with unit inventory and the trace-of-multiplication
-    functional down to F_q."""
+    functional down to F_q.
 
-    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "_trace_vec")
+    Residues are addressed by their base-q index.  mul_index reads a flat
+    size*size product table when it has at most RING_TABLE_CAP entries; the
+    table is filled on the first mul_index call, not at construction.
+    """
+
+    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "_trace_vec", "_products")
 
     def __init__(self, M: Poly):
         if M.is_zero or M.degree < 1:
@@ -248,7 +247,7 @@ class ResidueRing:
             g, u, _ = ext_gcd(r, M)
             if g.degree == 0:
                 units.append(idx)
-                inv_index[idx] = _residue_index(ctx, _mod(ctx, u.coeffs, mc))
+                inv_index[idx] = _index(ctx.q, _mod(ctx, u.coeffs, mc))
         self.units = tuple(units)
         self.inv_index = inv_index
         # trace of multiplication by T^i, as an F_q element, for i < m
@@ -261,18 +260,33 @@ class ResidueRing:
                     acc = ctx.add(acc, r[j])
             tvec.append(acc)
         self._trace_vec = tuple(tvec)
+        self._products = None
 
     def index(self, f: Poly) -> int:
-        return _residue_index(self.ctx, _mod(self.ctx, f.coeffs, self.M.coeffs))
+        return _index(self.ctx.q, _mod(self.ctx, f.coeffs, self.M.coeffs))
 
     def poly(self, idx: int) -> Poly:
         return poly_from_index(self.ctx, idx, self.m)
 
-    def mul_index(self, i: int, j: int) -> int:
+    def _product(self, a, b) -> int:
+        """Index of the residue of a * b, for coefficient tuples a and b."""
         ctx = self.ctx
-        a = poly_from_index(ctx, i, self.m).coeffs
-        b = poly_from_index(ctx, j, self.m).coeffs
-        return _residue_index(ctx, _mod(ctx, _mul(ctx, a, b), self.M.coeffs))
+        return _index(ctx.q, _mod(ctx, _mul(ctx, a, b), self.M.coeffs))
+
+    def mul_index(self, i: int, j: int) -> int:
+        table = self._products
+        if table is None:
+            n = self.size
+            q, m = self.ctx.q, self.m
+            if n * n > RING_TABLE_CAP:
+                return self._product(_trim(_digits(q, i, m)), _trim(_digits(q, j, m)))
+            residues = [_trim(_digits(q, x, m)) for x in range(n)]
+            table = [0] * (n * n)
+            for x, a in enumerate(residues):
+                for y in range(x, n):
+                    table[x * n + y] = table[y * n + x] = self._product(a, residues[y])
+            self._products = table
+        return table[i * self.size + j]
 
     def is_unit(self, idx: int) -> bool:
         return self.inv_index[idx] >= 0
@@ -336,7 +350,7 @@ class AdditiveCharacter:
         self.ring = ring
         self.h = h % ring.M
         self._table = None
-        if ring.size <= 1 << 16:
+        if ring.size <= RING_TABLE_CAP:
             ctx = ring.ctx
             hc = self.h.coeffs
             mc = ring.M.coeffs

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 import time
@@ -194,7 +195,10 @@ def _add_common(sp):
     sp.add_argument("--d-range", dest="d_range", help="sweep the degree: lo..hi")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ffmobius parser, built once per process: parse_args leaves the
+    parser unchanged and gives each call its own namespace."""
     ap = argparse.ArgumentParser(prog="ffmobius", description=__doc__)
     sub = ap.add_subparsers(dest="experiment", required=True)
     for name, exp in REGISTRY.items():

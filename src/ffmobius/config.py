@@ -15,6 +15,10 @@ DEFAULT_TABLE_CAP = 1 << 20
 # Full q*q add/mul tables are built only for extension fields up to this size.
 PAIR_TABLE_CAP = 1 << 10
 
+# Per-ring lookup tables (additive-character values, residue products) are
+# built only up to this many entries.
+RING_TABLE_CAP = 1 << 16
+
 # numpy bulk kernels (sieves, index maps) apply only up to these sizes.
 BULK_Q_CAP = 256
 BULK_SIZE_CAP = 1 << 24

@@ -3,8 +3,8 @@
 Elements are plain integers in [0, q): the base-p encoding of the
 coefficient vector in the polynomial basis F_p[x]/(modulus), low digit
 first.  A FieldCtx carries discrete-log, inverse and quadratic-character
-tables (plus full add/mul tables for small extension fields) and is
-immutable after construction, so it can be shared freely across workers.
+tables (plus flat q*q add/mul pair tables for small extension fields) and
+is immutable after construction, so it can be shared freely across workers.
 
 The quadratic character is only defined for odd characteristic; p = 2
 contexts support the generic ring operations but reject quad_char.
@@ -156,8 +156,8 @@ class FieldCtx:
         "quad_char_table",
         "inv_table",
         "neg_table",
-        "_add_table",
-        "_mul_table",
+        "add_table",
+        "mul_table",
         "key",
     )
 
@@ -173,8 +173,10 @@ class FieldCtx:
         self.quad_char_table = quad_char_table
         self.inv_table = inv_table
         self.neg_table = neg_table
-        self._add_table = add_table
-        self._mul_table = mul_table
+        # flat pair tables, x op y at index x * q + y; None when k = 1 or
+        # q > PAIR_TABLE_CAP.  Read-only, like the other tables.
+        self.add_table = add_table
+        self.mul_table = mul_table
         self.key = (p, k, modulus)
 
     # -- conversions --------------------------------------------------
@@ -202,7 +204,7 @@ class FieldCtx:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        t = self._add_table
+        t = self.add_table
         if t is not None:
             return t[a * self.q + b]
         if self.k == 1:
@@ -224,7 +226,7 @@ class FieldCtx:
         return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_table
+        t = self.mul_table
         if t is not None:
             return t[a * self.q + b]
         if self.k == 1:

@@ -45,13 +45,27 @@ def _trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c[:n])
 
 
+# _add, _mul and _mod run on one of three paths: inline arithmetic mod p for
+# prime fields, the flat pair tables (x op y at x * q + y) for extension
+# fields up to PAIR_TABLE_CAP, and the FieldCtx methods beyond that.
+
+
 def _add(ctx, a, b):
     if len(a) < len(b):
         a, b = b, a
-    add = ctx.add
     out = list(a)
-    for i, v in enumerate(b):
-        out[i] = add(out[i], v)
+    if ctx.k == 1:
+        p = ctx.p
+        for i, v in enumerate(b):
+            out[i] = (out[i] + v) % p
+    elif ctx.add_table is not None:
+        at, q = ctx.add_table, ctx.q
+        for i, v in enumerate(b):
+            out[i] = at[out[i] * q + v]
+    else:
+        add = ctx.add
+        for i, v in enumerate(b):
+            out[i] = add(out[i], v)
     return _trim(out)
 
 
@@ -76,89 +90,101 @@ def _scale(ctx, a, c):
 def _mul(ctx, a, b):
     if not a or not b:
         return ()
+    out = [0] * (len(a) + len(b) - 1)
     if ctx.k == 1:
         p = ctx.p
-        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        out[i + j] = (out[i + j] + ai * bj) % p
+                        out[j] = (out[j] + ai * bj) % p
         return _trim(out)
-    mul = ctx.mul
-    add = ctx.add
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+    nz = [(j, bj) for j, bj in enumerate(b) if bj]
+    mt = ctx.mul_table
+    if mt is not None:
+        at, q = ctx.add_table, ctx.q
+        for i, ai in enumerate(a):
+            if ai:
+                row = ai * q
+                for j, bj in nz:
+                    j += i
+                    out[j] = at[out[j] * q + mt[row + bj]]
+    else:
+        mul, add = ctx.mul, ctx.add
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in nz:
+                    j += i
+                    out[j] = add(out[j], mul(ai, bj))
     return _trim(out)
+
+
+def _mod(ctx, a, b, quo=None):
+    """a mod b.  Given quo, a zero list of len(a) - len(b) + 1 entries, the
+    quotient coefficients are written into it.  The divisor body is negated
+    up front, so each step adds c * (-b_j)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) < len(b):
+        return a
+    db = len(b) - 1
+    if db == 0 and quo is None:
+        return ()
+    rem = list(a)
+    inv_lead = ctx.inv_table[b[-1]]
+    neg = ctx.neg_table
+    body = [(j, neg[bj]) for j, bj in enumerate(b[:db]) if bj]
+    shifts = range(len(a) - 1 - db, -1, -1)
+    if ctx.k == 1:
+        p = ctx.p
+        for shift in shifts:
+            c = rem[shift + db]
+            if c:
+                if inv_lead != 1:
+                    c = c * inv_lead % p
+                if quo is not None:
+                    quo[shift] = c
+                for j, nbj in body:
+                    j += shift
+                    rem[j] = (rem[j] + c * nbj) % p
+        return _trim(rem[:db])
+    mt = ctx.mul_table
+    if mt is not None:
+        at, q = ctx.add_table, ctx.q
+        for shift in shifts:
+            c = rem[shift + db]
+            if c:
+                if inv_lead != 1:
+                    c = mt[c * q + inv_lead]
+                if quo is not None:
+                    quo[shift] = c
+                row = c * q
+                for j, nbj in body:
+                    j += shift
+                    rem[j] = at[rem[j] * q + mt[row + nbj]]
+    else:
+        mul, add = ctx.mul, ctx.add
+        for shift in shifts:
+            c = rem[shift + db]
+            if c:
+                if inv_lead != 1:
+                    c = mul(c, inv_lead)
+                if quo is not None:
+                    quo[shift] = c
+                for j, nbj in body:
+                    j += shift
+                    rem[j] = add(rem[j], mul(c, nbj))
+    return _trim(rem[:db])
 
 
 def _divmod(ctx, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
+    if len(a) < len(b):
         return (), a
-    inv_lead = ctx.inv(b[-1])
-    rem = list(a)
-    quo = [0] * (da - db + 1)
-    body = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
-    if ctx.k == 1:
-        p = ctx.p
-        for shift in range(da - db, -1, -1):
-            r = rem[shift + db]
-            if r:
-                c = r if inv_lead == 1 else (r * inv_lead) % p
-                quo[shift] = c
-                for j, bj in body:
-                    rem[shift + j] = (rem[shift + j] - c * bj) % p
-    else:
-        mul = ctx.mul
-        sub = ctx.sub
-        for shift in range(da - db, -1, -1):
-            r = rem[shift + db]
-            if r:
-                c = mul(r, inv_lead)
-                quo[shift] = c
-                for j, bj in body:
-                    rem[shift + j] = sub(rem[shift + j], mul(c, bj))
-    return _trim(quo), _trim(rem[:db])
-
-
-def _mod(ctx, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return a
-    if db == 0:
-        return ()
-    rem = list(a)
-    blead = b[-1]
-    body = [(j, bj) for j, bj in enumerate(b[:db]) if bj]
-    if ctx.k == 1:
-        p = ctx.p
-        inv_lead = 1 if blead == 1 else pow(blead, p - 2, p)
-        for shift in range(da - db, -1, -1):
-            r = rem[shift + db]
-            if r:
-                c = r if inv_lead == 1 else (r * inv_lead) % p
-                for j, bj in body:
-                    rem[shift + j] = (rem[shift + j] - c * bj) % p
-    else:
-        mul = ctx.mul
-        sub = ctx.sub
-        inv_lead = ctx.inv(blead)
-        for shift in range(da - db, -1, -1):
-            r = rem[shift + db]
-            if r:
-                c = r if inv_lead == 1 else mul(r, inv_lead)
-                for j, bj in body:
-                    rem[shift + j] = sub(rem[shift + j], mul(c, bj))
-    return _trim(rem[:db])
+    quo = [0] * (len(a) - len(b) + 1)
+    rem = _mod(ctx, a, b, quo)
+    return _trim(quo), rem
 
 
 def _monic(ctx, a):
@@ -211,13 +237,16 @@ def _eval(ctx, a, x):
 
 
 def _powmod(ctx, a, e, mod):
-    result = _mod(ctx, (1,), mod)
+    """a^e mod mod by left-to-right binary powering: start from a itself at
+    the top bit, so no step multiplies by 1 or squares past the last bit."""
     base = _mod(ctx, a, mod)
-    while e:
-        if e & 1:
+    if e == 0:
+        return _mod(ctx, (1,), mod)
+    result = base
+    for bit in bin(e)[3:]:
+        result = _mod(ctx, _mul(ctx, result, result), mod)
+        if bit == "1":
             result = _mod(ctx, _mul(ctx, result, base), mod)
-        base = _mod(ctx, _mul(ctx, base, base), mod)
-        e >>= 1
     return result
 
 
@@ -461,31 +490,36 @@ def is_squarefree(f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _index(q: int, coeffs) -> int:
+    """Base-q encoding of a coefficient sequence, low first (leading included)."""
+    x = 0
+    for c in reversed(coeffs):
+        x = x * q + c
+    return x
+
+
+def _digits(q: int, idx: int, width: int) -> list[int]:
+    """The width low base-q digits of idx, low first: the inverse of _index."""
+    out = []
+    for _ in range(width):
+        out.append(idx % q)
+        idx //= q
+    return out
+
+
 def poly_index(f: Poly) -> int:
     """Base-q encoding of the full coefficient vector (leading included)."""
-    x = 0
-    for c in reversed(f.coeffs):
-        x = x * f.ctx.q + c
-    return x
+    return _index(f.ctx.q, f.coeffs)
 
 
 def poly_from_index(ctx: FieldCtx, idx: int, width: int) -> Poly:
     """Inverse of poly_index restricted to degree < width."""
-    coeffs = []
-    for _ in range(width):
-        coeffs.append(idx % ctx.q)
-        idx //= ctx.q
-    return Poly(ctx, coeffs)
+    return Poly(ctx, _digits(ctx.q, idx, width))
 
 
 def monic_from_index(ctx: FieldCtx, d: int, idx: int) -> Poly:
     """Monic of degree d whose low coefficient vector encodes idx."""
-    coeffs = []
-    for _ in range(d):
-        coeffs.append(idx % ctx.q)
-        idx //= ctx.q
-    coeffs.append(1)
-    return Poly._raw(ctx, tuple(coeffs))
+    return Poly._raw(ctx, tuple(_digits(ctx.q, idx, d)) + (1,))
 
 
 def monics(ctx: FieldCtx, d: int):

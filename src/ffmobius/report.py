@@ -9,6 +9,7 @@ it so determinism checks and golden files stay stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -18,13 +19,30 @@ from .poly import Poly, format_poly
 __all__ = ["ExperimentReport", "encode_value", "report_json"]
 
 
+# Integers up to this many bits print in decimal (about 3900 digits, under
+# CPython's default 4300-digit limit on int -> str); longer ones in hex.
+DECIMAL_BITS = 13000
+
+
+def _int_text(n: int) -> str:
+    """Decimal, or 0x-prefixed hex past DECIMAL_BITS; int(text, 0) reads both."""
+    return str(n) if n.bit_length() <= DECIMAL_BITS else hex(n)
+
+
+def _approx(v: Fraction) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def encode_value(v: Any):
     if v is None or isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, float):
         return v
     if isinstance(v, Fraction):
-        return {"rational": f"{v.numerator}/{v.denominator}", "approx": float(v)}
+        return {"rational": f"{_int_text(v.numerator)}/{_int_text(v.denominator)}", "approx": _approx(v)}
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
     if isinstance(v, Poly):

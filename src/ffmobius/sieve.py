@@ -49,17 +49,23 @@ def _require(ctx: FieldCtx, degree: int):
 
 
 def _tables(ctx: FieldCtx):
+    """q x q numpy add/mul tables, built by broadcasting: addition digit by
+    digit mod p, multiplication through the discrete-log tables."""
     key = (ctx.key, "fieldtables")
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    q = ctx.q
-    add = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            add[a, b] = ctx.add(a, b)
-            mul[a, b] = ctx.mul(a, b)
+    q, p = ctx.q, ctx.p
+    x = np.arange(q, dtype=np.int64)
+    add = np.zeros((q, q), dtype=np.int64)
+    for j in range(ctx.k):
+        digit = (x // p**j) % p
+        add += ((digit[:, None] + digit) % p) * p**j
+    dlog = np.array(ctx.dlog_table, dtype=np.int64)
+    exp = np.array(ctx.exp_table, dtype=np.int64)
+    mul = exp[(dlog[:, None] + dlog) % (q - 1)]
+    mul[0, :] = 0
+    mul[:, 0] = 0
     _cache[key] = (add, mul)
     return add, mul
 

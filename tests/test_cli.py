@@ -133,3 +133,45 @@ def test_exit_code_on_failure(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "_dispatch", lambda args, ctx: fake())
     assert main(["twin", "--q", "3", "--d", "2"]) == 1
+
+
+def test_parser_reuse_keeps_each_calls_pairs(capsys):
+    """The parser is built once per process; append-action defaults must
+    not carry --pair values from one call into the next."""
+    for pairs in (["1", "T"], ["T^2+1"], []):
+        argv = ["mobius-lambda-corr", "--q", "3", "--a", "2", "--d", "3", "--canonical"]
+        for a in pairs:
+            argv += ["--pair", a]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        (rep,) = jlines(out)
+        assert rep["params"]["pairs"] == [f"{a}:1" for a in pairs]
+
+
+@pytest.mark.parametrize("bulk", [True, False])
+def test_mobius_ap_char2_on_both_paths(capsys, monkeypatch, bulk):
+    """mobius falls back to the factorization oracle in characteristic 2,
+    so the loop path answers what the sieve path answers."""
+    from ffmobius import sieve
+
+    if not bulk:
+        monkeypatch.setattr(sieve, "bulk_available", lambda ctx, degree: False)
+    code, out = run(capsys, "mobius-ap", "--q", "2", "--M", "T", "--a", "1", "--D", "3")
+    assert code == 0
+    assert jlines(out)[0]["value"] == -1
+
+
+def test_singular_series_past_decimal_digit_limit(capsys):
+    """The GF(9) Euler product at N = 4 has parts of about 12,000 digits;
+    they serialize exactly, in hex, without touching the int -> str limit."""
+    from fractions import Fraction
+
+    from ffmobius import Poly, field_new, singular_series
+
+    code, out = run(capsys, "singular-series", "--q", "3^2", "--a", "1", "--N", "4")
+    assert code == 0
+    (rep,) = jlines(out)
+    num, den = (int(part, 0) for part in rep["value"]["rational"].split("/"))
+    ctx = field_new(3, 2)
+    assert Fraction(num, den) == singular_series(Poly.one(ctx), 4).value
+    assert rep["value"]["approx"] == float(Fraction(num, den))

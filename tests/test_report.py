@@ -15,6 +15,17 @@ def test_encode_value_forms(gf3):
     assert encode_value({"x": T}) == {"x": "T"}
 
 
+def test_encode_value_fractions_of_any_size():
+    """Parts past DECIMAL_BITS print in hex; int(part, 0) reads either form."""
+    for v in (Fraction(-(3**9000), 7), Fraction(5, 3**9000), Fraction(3**9000 + 1, 2**9000)):
+        enc = encode_value(v)
+        num, den = enc["rational"].split("/")
+        assert Fraction(int(num, 0), int(den, 0)) == v
+        json.dumps(enc)
+    assert encode_value(Fraction(-(3**9000), 7))["approx"] == float("-inf")
+    assert encode_value(Fraction(5, 3**9000))["approx"] == 0.0
+
+
 def test_report_canonical_drops_runtime(gf3):
     rep = ExperimentReport("demo", (3, 1), {"f": Poly.t(gf3)}, value=1, runtime_ms=123)
     full = json.loads(rep.to_json())
