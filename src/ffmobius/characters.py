@@ -223,12 +223,15 @@ class ResidueRing:
     """A = F_q[T]/(M) with unit inventory and the trace-of-multiplication
     functional down to F_q.
 
-    Residues are addressed by their base-q index.  mul_index reads a flat
-    size*size product table when it has at most RING_TABLE_CAP entries; the
-    table is filled on the first mul_index call, not at construction.
+    Residues are addressed by their base-q index.  When size^2 is at most
+    RING_TABLE_CAP, mul_index memoises products a row at a time: the first
+    product i * j fills row i (at most size products; entries already in
+    another row are copied), so a caller that fixes one factor, as every
+    Kloosterman and C-sum loop does, pays for the rows it uses and no more.
+    Larger rings multiply and reduce on every call.
     """
 
-    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "_trace_vec", "_products")
+    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "_trace_vec", "_rows")
 
     def __init__(self, M: Poly):
         if M.is_zero or M.degree < 1:
@@ -260,7 +263,7 @@ class ResidueRing:
                     acc = ctx.add(acc, r[j])
             tvec.append(acc)
         self._trace_vec = tuple(tvec)
-        self._products = None
+        self._rows = [None] * self.size if self.size * self.size <= RING_TABLE_CAP else None
 
     def index(self, f: Poly) -> int:
         return _index(self.ctx.q, _mod(self.ctx, f.coeffs, self.M.coeffs))
@@ -274,19 +277,20 @@ class ResidueRing:
         return _index(ctx.q, _mod(ctx, _mul(ctx, a, b), self.M.coeffs))
 
     def mul_index(self, i: int, j: int) -> int:
-        table = self._products
-        if table is None:
-            n = self.size
+        rows = self._rows
+        if rows is None:
             q, m = self.ctx.q, self.m
-            if n * n > RING_TABLE_CAP:
-                return self._product(_trim(_digits(q, i, m)), _trim(_digits(q, j, m)))
-            residues = [_trim(_digits(q, x, m)) for x in range(n)]
-            table = [0] * (n * n)
-            for x, a in enumerate(residues):
-                for y in range(x, n):
-                    table[x * n + y] = table[y * n + x] = self._product(a, residues[y])
-            self._products = table
-        return table[i * self.size + j]
+            return self._product(_trim(_digits(q, i, m)), _trim(_digits(q, j, m)))
+        row = rows[i]
+        if row is None:
+            # products are symmetric: reuse column i of the rows already filled
+            q, m = self.ctx.q, self.m
+            a = _trim(_digits(q, i, m))
+            row = rows[i] = [
+                self._product(a, _trim(_digits(q, x, m))) if r is None else r[i]
+                for x, r in enumerate(rows)
+            ]
+        return row[j]
 
     def is_unit(self, idx: int) -> bool:
         return self.inv_index[idx] >= 0

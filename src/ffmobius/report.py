@@ -9,7 +9,6 @@ it so determinism checks and golden files stay stable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -29,11 +28,13 @@ def _int_text(n: int) -> str:
     return str(n) if n.bit_length() <= DECIMAL_BITS else hex(n)
 
 
-def _approx(v: Fraction) -> float:
+def _approx(v: Fraction) -> float | None:
+    """float(v), or None (JSON null) past the float range: JSON has no
+    infinities, and the exact value is in "rational"."""
     try:
         return float(v)
     except OverflowError:
-        return math.inf if v > 0 else -math.inf
+        return None
 
 
 def encode_value(v: Any):

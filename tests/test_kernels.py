@@ -121,9 +121,11 @@ def _check_products(ring, pairs):
 def test_mul_index_table_every_pair(q, modulus):
     ring = ResidueRing(parse_poly(FIELDS[q], modulus))
     assert ring.size**2 <= RING_TABLE_CAP
-    assert ring._products is None  # filled on first use, not at construction
+    assert ring._rows == [None] * ring.size  # filled on first use, not at construction
+    _check_products(ring, [(3, 1)])
+    assert [i for i, row in enumerate(ring._rows) if row is not None] == [3]
     _check_products(ring, [(i, j) for i in range(ring.size) for j in range(ring.size)])
-    assert ring._products is not None
+    assert all(row is not None for row in ring._rows)
 
 
 def test_mul_index_past_the_cap_samples():
@@ -131,7 +133,7 @@ def test_mul_index_past_the_cap_samples():
     assert ring.size**2 > RING_TABLE_CAP
     rng = random.Random(5)
     _check_products(ring, [(rng.randrange(ring.size), rng.randrange(ring.size)) for _ in range(400)])
-    assert ring._products is None
+    assert ring._rows is None
 
 
 @pytest.mark.parametrize("q", [3, 7, 4, 8, 9, 25, 27])

@@ -21,8 +21,8 @@ def test_encode_value_fractions_of_any_size():
         enc = encode_value(v)
         num, den = enc["rational"].split("/")
         assert Fraction(int(num, 0), int(den, 0)) == v
-        json.dumps(enc)
-    assert encode_value(Fraction(-(3**9000), 7))["approx"] == float("-inf")
+        json.dumps(enc, allow_nan=False)
+    assert encode_value(Fraction(-(3**9000), 7))["approx"] is None
     assert encode_value(Fraction(5, 3**9000))["approx"] == 0.0
 
 
