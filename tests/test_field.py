@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ffmobius import ResourceLimitError, field_new
-from ffmobius.field import _pp_is_irreducible
+from ffmobius import Poly, ResourceLimitError, field_new, is_irreducible
 
 
 def test_gf3_basics(gf3):
@@ -16,7 +15,7 @@ def test_gf3_basics(gf3):
 def test_default_modulus_gf9_is_first_irreducible(gf9):
     # monic quadratics over GF(3) in encoding order: T^2 reduces, T^2+1 does not
     assert gf9.modulus == (1, 0, 1)
-    assert _pp_is_irreducible(list(gf9.modulus), 3)
+    assert is_irreducible(Poly(field_new(3), gf9.modulus))
 
 
 def test_composite_characteristic_rejected():
