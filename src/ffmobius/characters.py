@@ -21,9 +21,9 @@ from functools import lru_cache
 
 from .config import RING_TABLE_CAP
 from .factor import divisor_count, factor, is_irreducible
-from .field import _int_prime_factors
+from .field import cyclic_group
 from .poly import Poly, ext_gcd, gcd, is_squarefree, poly_from_index
-from .poly import _digits, _index, _mod, _mul, _powmod, _trim  # tuple kernels
+from .poly import _digits, _index, _mod, _mul, _trim  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -42,7 +42,8 @@ __all__ = [
 
 class _LocalLogs:
     """Discrete logs of the residue field F_q[T]/(P) against the smallest
-    primitive residue (in encoding order)."""
+    primitive residue (in encoding order), from field.cyclic_group; the
+    power table is dropped once the logs are read off it."""
 
     __slots__ = ("prime", "degree", "order", "generator", "dlog")
 
@@ -53,31 +54,11 @@ class _LocalLogs:
         self.prime = prime
         self.degree = d
         self.order = size - 1
-        pc = prime.coeffs
-        ells = _int_prime_factors(self.order) if self.order > 1 else []
-
-        def rmul(a, b):
-            return _mod(ctx, _mul(ctx, a, b), pc)
-
-        def rpow(a, e):
-            return _powmod(ctx, a, e, pc)
-
-        gen = None
-        if self.order == 1:
-            gen = (1,)
-        else:
-            for idx in range(2, size):
-                cand = _trim(list(poly_from_index(ctx, idx, d).coeffs))
-                if all(rpow(cand, self.order // ell) != (1,) for ell in ells):
-                    gen = cand
-                    break
-        assert gen is not None
-        self.generator = Poly(ctx, gen)
+        gen, exp = cyclic_group(ctx, prime.coeffs)
+        self.generator = Poly(ctx, _digits(ctx.q, gen, d))
         dlog = [-1] * size
-        acc = (1,)
-        for e in range(self.order):
-            dlog[_index(ctx.q, acc)] = e
-            acc = rmul(acc, gen)
+        for e, v in enumerate(exp):
+            dlog[v] = e
         self.dlog = dlog
 
 

@@ -21,7 +21,7 @@ from .poly import (
     monics,
     poly_index,
 )
-from .poly import _divmod, _gcd, _mod, _powmod, _trim  # tuple kernels
+from .poly import _divmod, _gcd, _is_irreducible, _mod, _powmod, _trim  # tuple kernels
 
 __all__ = [
     "Factorization",
@@ -196,21 +196,7 @@ def factor(f: Poly) -> Factorization:
 def is_irreducible(f: Poly) -> bool:
     """Independent irreducibility check: no factor of degree <= deg(f)/2,
     via gcd(T^(q^j) - T, f)."""
-    n = f.degree
-    if f.is_zero or n < 1:
-        return False
-    ctx = f.ctx
-    fc = f.coeffs
-    h = (0, 1)
-    for _ in range(n // 2):
-        h = _powmod(ctx, h, ctx.q, fc)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = ctx.sub(diff[1], 1)
-        if len(_gcd(ctx, fc, _trim(diff))) != 1:
-            return False
-    return True
+    return _is_irreducible(f.ctx, f.coeffs)
 
 
 def irreducibles(ctx: FieldCtx, d: int):

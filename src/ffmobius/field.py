@@ -4,7 +4,12 @@ Elements are plain integers in [0, q): the base-p encoding of the
 coefficient vector in the polynomial basis F_p[x]/(modulus), low digit
 first.  A FieldCtx carries discrete-log, inverse and quadratic-character
 tables (plus flat q*q add/mul pair tables for small extension fields) and
-is immutable after construction, so it can be shared freely across workers.
+is immutable after construction, so it can be shared freely.
+
+Every finite field is built one way: GF(p^k) for k > 1 and the residue
+fields F_q[T]/(P) of characters.local_logs both take their smallest
+primitive residue and its power table from cyclic_group, which runs on
+the poly tuple kernels over the base field.
 
 The quadratic character is only defined for odd characteristic; p = 2
 contexts support the generic ring operations but reject quad_char.
@@ -12,10 +17,13 @@ contexts support the generic ring operations but reject quad_char.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import PAIR_TABLE_CAP, field_table_cap
 from .errors import ResourceLimitError
+from .poly import _digits, _index, _is_irreducible, _mod, _mul, _powmod, _trim
 
-__all__ = ["FieldCtx", "field_new", "quad_char", "dlog"]
+__all__ = ["FieldCtx", "field_new", "cyclic_group", "pair_tables", "quad_char", "dlog"]
 
 
 def _is_prime_int(n: int) -> bool:
@@ -45,97 +53,6 @@ def _int_prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Polynomial helpers over the prime field F_p (coefficient lists, low first).
-# Only used during context construction; everything later runs on tables.
-# ---------------------------------------------------------------------------
-
-
-def _pp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        factor = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - factor * bj) % p
-        _pp_trim(a)
-    return a
-
-
-def _pp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pp_rem(a, b, p)
-    return a
-
-
-def _pp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pp_rem(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pp_rem(_pp_mul(result, base, p), mod, p)
-        base = _pp_rem(_pp_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pp_is_irreducible(f: list[int], p: int) -> bool:
-    """Degree-n f over F_p is irreducible iff it has no factor of degree
-    <= n/2, detected through gcd(x^(p^j) - x, f) for j = 1..n//2."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    h = [0, 1] if n > 1 else []
-    if n == 1:
-        return True
-    for _ in range(n // 2):
-        h = _pp_powmod(h, p, f, p)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_pp_gcd(f, _pp_trim(diff), p)) != 1:
-            return False
-    return True
-
-
-def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k over F_p in encoding order of the
-    low coefficient vector."""
-    if k == 1:
-        return (0, 1)
-    for low in range(p**k):
-        coeffs = []
-        v = low
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        if _pp_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 class FieldCtx:
@@ -183,17 +100,10 @@ class FieldCtx:
 
     def coords(self, x: int) -> tuple[int, ...]:
         """Polynomial-basis coefficient vector (length k, low first)."""
-        out = []
-        for _ in range(self.k):
-            out.append(x % self.p)
-            x //= self.p
-        return tuple(out)
+        return tuple(_digits(self.p, x, self.k))
 
     def encode(self, coords) -> int:
-        x = 0
-        for c in reversed(list(coords)):
-            x = x * self.p + c % self.p
-        return x
+        return _index(self.p, [c % self.p for c in coords])
 
     def elements(self):
         return range(self.q)
@@ -280,6 +190,45 @@ class FieldCtx:
         return f"FieldCtx(GF({self.p}^{self.k}), modulus={list(self.modulus)})"
 
 
+def cyclic_group(ctx: FieldCtx, f: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The unit group of F = ctx[T]/(f), for f monic irreducible: the
+    smallest primitive residue in encoding order (as a base-q index) and its
+    power table, exp[i] = index of generator^i for i < |F| - 1."""
+    q, d = ctx.q, len(f) - 1
+    order = q**d - 1
+    ells = _int_prime_factors(order)
+    one = (1,)
+    for idx in range(1, order + 1):
+        g = _trim(_digits(q, idx, d))
+        if all(_powmod(ctx, g, order // ell, f) != one for ell in ells):
+            break
+    else:
+        raise ValueError("no primitive residue: the modulus is reducible")
+    exp = [1] * order
+    acc = one
+    for i in range(1, order):
+        acc = _mod(ctx, _mul(ctx, g, acc), f)
+        exp[i] = _index(q, acc)
+    return idx, exp
+
+
+def pair_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """q x q numpy add/mul tables, built by broadcasting: addition digit by
+    digit mod p, multiplication through the discrete-log tables."""
+    q, p = ctx.q, ctx.p
+    x = np.arange(q, dtype=np.int64)
+    add = np.zeros((q, q), dtype=np.int64)
+    for j in range(ctx.k):
+        digit = (x // p**j) % p
+        add += ((digit[:, None] + digit) % p) * p**j
+    dlog = np.array(ctx.dlog_table, dtype=np.int64)
+    exp = np.array(ctx.exp_table, dtype=np.int64)
+    mul = exp[(dlog[:, None] + dlog) % (q - 1)]
+    mul[0, :] = 0
+    mul[:, 0] = 0
+    return add, mul
+
+
 def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) -> FieldCtx:
     """Build a GF(p^k) context.
 
@@ -297,60 +246,28 @@ def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) ->
     if q > cap:
         raise ResourceLimitError(f"q = {q} exceeds table cap {cap}")
 
-    if modulus is None:
-        mod = _smallest_irreducible(p, k)
-    else:
+    if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree k over GF(p)")
-        if not _pp_is_irreducible(list(mod), p):
-            raise ValueError("modulus is reducible over GF(p)")
-
-    mod_list = list(mod)
-
-    def decode(x: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(x % p)
-            x //= p
-        return out
-
-    def encode(c: list[int]) -> int:
-        x = 0
-        for v in reversed(c):
-            x = x * p + v
-        return x
-
-    def emul(a: int, b: int) -> int:
-        prod = _pp_rem(_pp_mul(_pp_trim(decode(a)), _pp_trim(decode(b)), p), mod_list, p)
-        prod += [0] * (k - len(prod))
-        return encode(prod)
-
-    def epow(a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = emul(r, a)
-            a = emul(a, a)
-            e >>= 1
-        return r
-
-    # Smallest primitive element in encoding order.
-    if q == 2:
-        generator = 1
+    if k == 1:
+        # GF(p) is the integers mod p: no base field to run cyclic_group over
+        if modulus is None:
+            mod = (0, 1)
+        ells = _int_prime_factors(p - 1)
+        generator = next(g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in ells))
+        exp_table = [1] * (p - 1)
+        for i in range(1, p - 1):
+            exp_table[i] = exp_table[i - 1] * generator % p
     else:
-        order_primes = _int_prime_factors(q - 1)
-        generator = None
-        for cand in range(2, q):
-            if all(epow(cand, (q - 1) // ell) != 1 for ell in order_primes):
-                generator = cand
-                break
-        if generator is None:
-            raise AssertionError("no primitive element found")  # unreachable
+        gfp = field_new(p, table_cap=cap)
+        if modulus is None:
+            mod = next(f for f in (tuple(_digits(p, low, k)) + (1,) for low in range(p**k))
+                       if _is_irreducible(gfp, f))
+        elif not _is_irreducible(gfp, mod):
+            raise ValueError("modulus is reducible over GF(p)")
+        generator, exp_table = cyclic_group(gfp, mod)
 
-    exp_table = [1] * (q - 1)
-    for i in range(1, q - 1):
-        exp_table[i] = emul(exp_table[i - 1], generator)
     dlog_table = [-1] * q
     for i, v in enumerate(exp_table):
         dlog_table[v] = i
@@ -359,9 +276,11 @@ def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) ->
     for x in range(1, q):
         inv_table[x] = exp_table[(q - 1 - dlog_table[x]) % (q - 1)]
 
+    # -x = (-1) * x, and -1 is the constant p - 1
+    neg_one = dlog_table[p - 1]
     neg_table = [0] * q
-    for x in range(q):
-        neg_table[x] = encode([(-c) % p for c in decode(x)])
+    for x in range(1, q):
+        neg_table[x] = exp_table[(dlog_table[x] + neg_one) % (q - 1)]
 
     quad_char_table = None
     if p != 2:
@@ -369,26 +288,12 @@ def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) ->
         for x in range(1, q):
             quad_char_table[x] = 1 if dlog_table[x] % 2 == 0 else -1
 
-    add_table = None
-    mul_table = None
+    ctx = FieldCtx(p, k, mod, generator, exp_table, dlog_table,
+                   quad_char_table, inv_table, neg_table, None, None)
     if k > 1 and q <= PAIR_TABLE_CAP:
-        digits = [decode(x) for x in range(q)]
-        add_table = [0] * (q * q)
-        for a in range(q):
-            da = digits[a]
-            row = a * q
-            for b in range(q):
-                db = digits[b]
-                add_table[row + b] = encode([(da[i] + db[i]) % p for i in range(k)])
-        mul_table = [0] * (q * q)
-        for a in range(1, q):
-            la = dlog_table[a]
-            row = a * q
-            for b in range(1, q):
-                mul_table[row + b] = exp_table[(la + dlog_table[b]) % (q - 1)]
-
-    return FieldCtx(p, k, mod, generator, exp_table, dlog_table,
-                    quad_char_table, inv_table, neg_table, add_table, mul_table)
+        add, mul = pair_tables(ctx)
+        ctx.add_table, ctx.mul_table = add.ravel().tolist(), mul.ravel().tolist()
+    return ctx
 
 
 def quad_char(ctx: FieldCtx, x: int) -> int:

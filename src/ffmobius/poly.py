@@ -11,7 +11,10 @@ module-private tuple kernels; Poly methods are thin wrappers over them.
 
 from __future__ import annotations
 
-from .field import FieldCtx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # field builds its tables on these kernels
+    from .field import FieldCtx
 
 __all__ = [
     "NEG_INF",
@@ -248,6 +251,21 @@ def _powmod(ctx, a, e, mod):
         if bit == "1":
             result = _mod(ctx, _mul(ctx, result, base), mod)
     return result
+
+
+def _is_irreducible(ctx, f):
+    """Degree-n f is irreducible iff it has no factor of degree <= n/2,
+    detected through gcd(T^(q^j) - T, f) for j = 1..n//2."""
+    n = len(f) - 1
+    if n < 1:
+        return False
+    t = (0, 1)
+    h = t
+    for _ in range(n // 2):
+        h = _powmod(ctx, h, ctx.q, f)
+        if len(_gcd(ctx, f, _sub(ctx, h, t))) != 1:
+            return False
+    return True
 
 
 def _pow(ctx, a, e):

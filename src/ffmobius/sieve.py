@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import BULK_Q_CAP, BULK_SIZE_CAP
 from .errors import ResourceLimitError
-from .field import FieldCtx
-from .poly import Poly
+from .field import FieldCtx, pair_tables
+from .poly import Poly, _digits, _index
 from .poly import _mul as _poly_mul
 
 __all__ = [
@@ -49,25 +49,11 @@ def _require(ctx: FieldCtx, degree: int):
 
 
 def _tables(ctx: FieldCtx):
-    """q x q numpy add/mul tables, built by broadcasting: addition digit by
-    digit mod p, multiplication through the discrete-log tables."""
     key = (ctx.key, "fieldtables")
     hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    q, p = ctx.q, ctx.p
-    x = np.arange(q, dtype=np.int64)
-    add = np.zeros((q, q), dtype=np.int64)
-    for j in range(ctx.k):
-        digit = (x // p**j) % p
-        add += ((digit[:, None] + digit) % p) * p**j
-    dlog = np.array(ctx.dlog_table, dtype=np.int64)
-    exp = np.array(ctx.exp_table, dtype=np.int64)
-    mul = exp[(dlog[:, None] + dlog) % (q - 1)]
-    mul[0, :] = 0
-    mul[:, 0] = 0
-    _cache[key] = (add, mul)
-    return add, mul
+    if hit is None:
+        hit = _cache[key] = pair_tables(ctx)
+    return hit
 
 
 def _digit_columns(ctx: FieldCtx, e: int) -> list[np.ndarray]:
@@ -90,10 +76,7 @@ def _mul_fixed_monic(ctx: FieldCtx, a_coeffs: tuple[int, ...], e: int) -> np.nda
     q = ctx.q
     da = len(a_coeffs) - 1
     if e == 0:
-        idx = 0
-        for j in range(da):
-            idx += a_coeffs[j] * q**j
-        return np.array([idx], dtype=np.int64)
+        return np.array([_index(q, a_coeffs[:da])], dtype=np.int64)
     add2, mul2 = _tables(ctx)
     digs = _digit_columns(ctx, e)
     n = q**e
@@ -153,16 +136,7 @@ def primes_of_degree(ctx: FieldCtx, d: int) -> list[tuple[int, ...]]:
     if d in st["coeffs"]:
         return st["coeffs"][d]
     mask = prime_mask(ctx, d)
-    q = ctx.q
-    out = []
-    for idx in np.nonzero(mask)[0]:
-        idx = int(idx)
-        coeffs = []
-        for _ in range(d):
-            coeffs.append(idx % q)
-            idx //= q
-        coeffs.append(1)
-        out.append(tuple(coeffs))
+    out = [tuple(_digits(ctx.q, int(idx), d)) + (1,) for idx in np.nonzero(mask)[0]]
     st["coeffs"][d] = out
     return out
 
@@ -229,10 +203,7 @@ def lambda_table(ctx: FieldCtx, d: int) -> np.ndarray:
             power = pc
             for _ in range(npow - 1):
                 power = _poly_mul(ctx, power, pc)
-            idx = 0
-            for j in range(d):
-                idx += power[j] * q**j
-            table[idx] = dp
+            table[_index(q, power[:d])] = dp
     _cache[key] = table
     return table
 
