@@ -5,9 +5,11 @@
 
 Every report records the --seed value, which seeds nothing (no computation
 is randomized), and its runtime_ms.  --threads is accepted and has no
-effect.  Exit status is 0 when every emitted report has ok in {true, null}
-and nonzero when any hard inequality fails.  --canonical drops the
-wall-clock field so identical runs are byte-identical.
+effect.  Exit status is 0 when every emitted report has ok in {true, null},
+1 when any hard inequality fails, and 2 on bad input (a usage or domain
+error), which prints one "ffmobius: error: ..." line on stderr and no
+report.  --canonical drops the wall-clock field so identical runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable
 
 from . import experiments
 from .characters import characters_mod, jacobi_character
+from .errors import ResourceLimitError
 from .field import field_new
 from .poly import Poly, format_poly, parse_poly
 from .report import ExperimentReport, encode_value
@@ -54,7 +57,7 @@ def _parse_pairs(ctx, raw_pairs):
 def _parse_shifts(ctx, raw):
     b = [parse_poly(ctx, s) for s in raw.split(";")]
     if len(b) != 6:
-        raise SystemExit("--b needs six ';'-separated polynomials")
+        raise ValueError("--b needs six ';'-separated polynomials")
     return b
 
 
@@ -69,8 +72,8 @@ def _select_char(ctx, g, spec: str):
         for chi in chars:
             if chi.exponents == want:
                 return chi
-        raise SystemExit(f"no character with exponents {want}")
-    raise SystemExit(f"unknown character selector {spec!r}")
+        raise ValueError(f"no character with exponents {want}")
+    raise ValueError(f"unknown character selector {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def _field_from_args(args):
     elif args.p:
         p, k = args.p, args.k
     else:
-        raise SystemExit("a field is required: --q P^K or --p P [--k K]")
+        raise ValueError("a field is required: --q P^K or --p P [--k K]")
     modulus = None
     if args.modulus:
         modulus = [int(c) for c in args.modulus.split(",")]
@@ -233,7 +236,7 @@ def _d_values(args, default):
         lo_str, hi_str = args.d_range.split("..", 1)
         return list(range(int(lo_str), int(hi_str) + 1))
     if default is None:
-        raise SystemExit("a degree is required (--d/--D or --d-range)")
+        raise ValueError("a degree is required (--d/--D or --d-range)")
     return [default]
 
 
@@ -300,8 +303,12 @@ def _scalar(v):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    ctx = _field_from_args(args)
-    reports = _dispatch(args, ctx)
+    try:
+        ctx = _field_from_args(args)
+        reports = _dispatch(args, ctx)
+    except (ValueError, ResourceLimitError) as exc:
+        print(f"ffmobius: error: {exc}", file=sys.stderr)
+        return 2
     if args.out == "csv":
         sys.stdout.write(_csv_dump(reports))
     else:

@@ -30,4 +30,9 @@ CZ_SEED = 24601
 def field_table_cap() -> int:
     """Field-size cap, overridable via the FFMOBIUS_TABLE_CAP env var."""
     raw = os.environ.get("FFMOBIUS_TABLE_CAP")
-    return int(raw) if raw else DEFAULT_TABLE_CAP
+    if not raw:
+        return DEFAULT_TABLE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FFMOBIUS_TABLE_CAP must be an integer, got {raw!r}") from None

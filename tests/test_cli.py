@@ -79,9 +79,32 @@ def test_char_sum_selectors(capsys):
 
 
 def test_principal_char_rejected(capsys):
-    with pytest.raises(ValueError):
-        main(["char-sum", "--q", "3", "--g", "T^2+1", "--char", "principal",
-              "--f", "T", "--t", "1"])
+    code = main(["char-sum", "--q", "3", "--g", "T^2+1", "--char", "principal",
+                 "--f", "T", "--t", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ffmobius: error: ")
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["twin", "--q", "3", "--a", "0", "--d", "3"], {}),
+    (["mobius-ap", "--q", "3", "--M", "T", "--a", "1", "--D", "3"], {"FFMOBIUS_TABLE_CAP": "abc"}),
+    (["mobius-ap", "--q", "2^25", "--M", "T", "--a", "1", "--D", "3"], {}),
+    (["char-sum", "--q", "3^2", "--g", "T^2+1", "--char", "idx:9", "--t", "1"], {}),
+    (["char-sum", "--q", "3", "--g", "T^2+1", "--char", "cubic", "--t", "1"], {}),
+    (["mobius-ap", "--q", "3", "--M", "T", "--a", "1"], {}),
+    (["twin", "--d", "3"], {}),
+    (["kloosterman-aggregate", "--q", "5", "--M", "T", "--b", "1;2;3;1;2"], {}),
+], ids=["twin-a0", "table-cap-env", "past-table-cap", "char-idx", "char-selector",
+        "no-degree", "no-field", "five-shifts"])
+def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
+    """Bad input is a usage or domain error: exit 2, a single stderr line,
+    no traceback and no report; exit 1 stays reserved for a failed bound."""
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ffmobius: error: ") and err.count("\n") == 1
 
 
 def test_kloosterman_and_c_sum(capsys):
