@@ -3,9 +3,9 @@ then equal-degree (Cantor-Zassenhaus) splitting.
 
 This is the brute-force oracle the arithmetic functions are checked
 against.  Equal-degree splitting draws its randomness from a stream
-seeded by (CZ_SEED, input encoding), so every factorization is
-reproducible and independent of call order; degree-1 parts are split by
-root scan instead, which needs no randomness at all.
+seeded by (CZ_SEED, input encoding) on its first draw, so every
+factorization is reproducible and independent of call order; degree-1
+parts are split by root scan instead, which needs no randomness at all.
 """
 
 from __future__ import annotations
@@ -135,7 +135,17 @@ def _split_linear(f: Poly) -> list[Poly]:
     return [Poly(ctx, (ctx.neg_table[r], 1)) for r in sorted(roots)]
 
 
-def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def _draws(f: Poly):
+    """Uniform field elements from the stream of monic f, seeded by
+    (CZ_SEED, field, encoding of f) on the first draw: most factorizations
+    draw nothing."""
+    ctx = f.ctx
+    rng = random.Random(f"{CZ_SEED}:{ctx.key}:{poly_index(f)}")
+    while True:
+        yield rng.randrange(ctx.q)
+
+
+def _edf(f: Poly, d: int, draws) -> list[Poly]:
     """Equal-degree split: f monic squarefree, every factor of degree d."""
     ctx = f.ctx
     n = f.degree
@@ -153,7 +163,7 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             out.append(g)
             continue
         while True:
-            r = Poly(g.ctx, [rng.randrange(q) for _ in range(g.degree)])
+            r = Poly(g.ctx, [next(draws) for _ in range(g.degree)])
             if r.degree < 1:
                 continue
             if q % 2:
@@ -178,16 +188,15 @@ def factor(f: Poly) -> Factorization:
     """Factor nonzero f into monic irreducibles with multiplicities."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    ctx = f.ctx
     leading = f.lc
     fm = f.monic()
     if fm.degree == 0:
         return Factorization(leading, ())
-    rng = random.Random(f"{CZ_SEED}:{ctx.key}:{poly_index(fm)}")
+    draws = _draws(fm)
     found: list[tuple[Poly, int]] = []
     for part, mult in _squarefree_parts(fm).items():
         for prod, d in _ddf(part):
-            for prime in _edf(prod, d, rng):
+            for prime in _edf(prod, d, draws):
                 found.append((prime, mult))
     found.sort(key=lambda pe: pe[0].sort_key())
     return Factorization(leading, tuple(found))

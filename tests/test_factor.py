@@ -143,3 +143,29 @@ def test_factor_roundtrip_random_gf9(coeffs):
     if f.is_zero:
         return
     assert factor(f).reconstruct(ctx) == f
+
+
+def test_cantor_zassenhaus_stream_seeded_on_first_draw(gf3, monkeypatch):
+    """A factorization that needs no equal-degree draw seeds no stream; one
+    that does seeds exactly one and still finds the same factors."""
+    import importlib
+    import random
+    from types import SimpleNamespace
+
+    factor_mod = importlib.import_module("ffmobius.factor")  # the package exports a function of that name
+    seeds = []
+
+    class Counting(random.Random):
+        def seed(self, a=None, version=2):
+            seeds.append(a)
+            super().seed(a, version)
+
+    monkeypatch.setattr(factor_mod, "random", SimpleNamespace(Random=Counting))
+    T = Poly.t(gf3)
+    one = Poly.one(gf3)
+    for f in (T**3 + T * Poly.constant(gf3, 2) + one, T * (T + one) ** 2, T**5):
+        factor(f)
+    assert seeds == []
+    p1, p2 = T**2 + one, T**2 + T + Poly.constant(gf3, 2)
+    assert factor(p1 * p2).factors == tuple(sorted([(p1, 1), (p2, 1)], key=lambda pe: pe[0].sort_key()))
+    assert len(seeds) == 1
