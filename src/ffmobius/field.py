@@ -4,7 +4,7 @@ Elements are plain integers in [0, q): the base-p encoding of the
 coefficient vector in the polynomial basis F_p[x]/(modulus), low digit
 first.  A FieldCtx carries discrete-log, inverse and quadratic-character
 tables (plus flat q*q add/mul pair tables for small extension fields) and
-is immutable after construction, so it can be shared freely.
+is immutable after construction, so it can be shared freely across workers.
 
 Every finite field is built one way: GF(p^k) for k > 1 and the residue
 fields F_q[T]/(P) of characters.local_logs both take their smallest

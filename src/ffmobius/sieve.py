@@ -49,6 +49,7 @@ def _require(ctx: FieldCtx, degree: int):
 
 
 def _tables(ctx: FieldCtx):
+    """field.pair_tables(ctx), built once per field."""
     key = (ctx.key, "fieldtables")
     hit = _cache.get(key)
     if hit is None:
