@@ -7,7 +7,8 @@ per-factor generators.  Additive characters use the F_p-algebra trace of
 multiplication, evaluated through e_p.  Kloosterman sums and the two
 complete sums used by the bilinear estimates sit on top.
 
-Quadratic (and principal) characters evaluate to exact integers; general
+Quadratic (and principal) characters evaluate to exact integers, through
+the Legendre symbol of a norm, with no discrete-log table; general
 characters return complex unit roots.  Sums of bounded unit roots are
 accumulated as integer counts per root and only converted to floats at
 the end, so the 1e-9 comparison tolerance is never stressed.
@@ -23,7 +24,7 @@ from .config import RING_TABLE_CAP
 from .factor import divisor_count, factor, is_irreducible
 from .field import cyclic_group
 from .poly import Poly, ext_gcd, gcd, is_squarefree, poly_from_index
-from .poly import _digits, _index, _mod, _mul, _trim  # tuple kernels
+from .poly import _digits, _index, _is_irreducible, _mod, _mul, _resultant, _trim  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -41,25 +42,42 @@ __all__ = [
 
 
 class _LocalLogs:
-    """Discrete logs of the residue field F_q[T]/(P) against the smallest
-    primitive residue (in encoding order), from field.cyclic_group; the
-    power table is dropped once the logs are read off it."""
+    """The residue field F_q[T]/(P) of a monic irreducible P.  Its discrete
+    logs against the smallest primitive residue (in encoding order, from
+    field.cyclic_group) are built on first access to `generator` or `dlog`:
+    real characters need neither, they read the quadratic character off the
+    norm (see DirichletCharacter.__call__)."""
 
-    __slots__ = ("prime", "degree", "order", "generator", "dlog")
+    __slots__ = ("prime", "degree", "order", "_generator", "_dlog")
 
     def __init__(self, prime: Poly):
-        ctx = prime.ctx
-        d = prime.degree
-        size = ctx.q**d
+        if not (prime.is_monic and _is_irreducible(prime.ctx, prime.coeffs)):
+            raise ValueError("a residue field needs a monic irreducible modulus")
         self.prime = prime
-        self.degree = d
-        self.order = size - 1
-        gen, exp = cyclic_group(ctx, prime.coeffs)
-        self.generator = Poly(ctx, _digits(ctx.q, gen, d))
-        dlog = [-1] * size
+        self.degree = prime.degree
+        self.order = prime.ctx.q**self.degree - 1
+        self._generator = self._dlog = None
+
+    def _build(self) -> None:
+        ctx = self.prime.ctx
+        gen, exp = cyclic_group(ctx, self.prime.coeffs)
+        dlog = [-1] * (self.order + 1)
         for e, v in enumerate(exp):
             dlog[v] = e
-        self.dlog = dlog
+        self._generator = Poly(ctx, _digits(ctx.q, gen, self.degree))
+        self._dlog = dlog
+
+    @property
+    def generator(self) -> Poly:
+        if self._generator is None:
+            self._build()
+        return self._generator
+
+    @property
+    def dlog(self) -> list[int]:
+        if self._dlog is None:
+            self._build()
+        return self._dlog
 
 
 @lru_cache(maxsize=256)
@@ -131,12 +149,13 @@ class DirichletCharacter:
         complex unit root in general."""
         ctx = self.modulus.ctx
         if self.is_real:
+            # r is a square in F_q[T]/(P) iff its norm Res(P, r) is one in F_q
             out = 1
             for e, loc in zip(self.exponents, self.locals):
                 r = _mod(ctx, f.coeffs, loc.prime.coeffs)
                 if not r:
                     return 0
-                if e and loc.dlog[_index(ctx.q, r)] % 2:
+                if e and ctx.quad_char(_resultant(ctx, loc.prime.coeffs, r)) < 0:
                     out = -out
             return out
         lcm = self._lcm

@@ -19,6 +19,9 @@ PAIR_TABLE_CAP = 1 << 10
 # built only up to this many entries.
 RING_TABLE_CAP = 1 << 16
 
+# factor() memoises this many factorizations (least recently used dropped).
+FACTOR_CACHE_SIZE = 1 << 12
+
 # numpy bulk kernels (sieves, index maps) apply only up to these sizes.
 BULK_Q_CAP = 256
 BULK_SIZE_CAP = 1 << 24

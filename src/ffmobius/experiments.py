@@ -157,11 +157,11 @@ def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSwee
         # residue -> local dlog (or -1 on the zero divisor locus)
         dlogs = np.empty((len(locs), size), dtype=np.int64)
         for i, loc in enumerate(locs):
-            pc = loc.prime
+            pc, dlog = loc.prime, loc.dlog
             col = np.empty(size, dtype=np.int64)
             for x in range(size):
                 r = poly_from_index(ctx, x, m) % pc
-                col[x] = loc.dlog[poly_index(r)] if not r.is_zero else -1
+                col[x] = dlog[poly_index(r)] if not r.is_zero else -1
             dlogs[i] = col
         zero_mask = (dlogs < 0).any(axis=0)
         safe_dlogs = np.where(dlogs < 0, 0, dlogs)

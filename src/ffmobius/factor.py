@@ -6,14 +6,17 @@ against.  Equal-degree splitting draws its randomness from a stream
 seeded by (CZ_SEED, input encoding) on its first draw, so every
 factorization is reproducible and independent of call order; degree-1
 parts are split by root scan instead, which needs no randomness at all.
+Results are memoised in a bounded LRU (config.FACTOR_CACHE_SIZE), so the
+routes that ask about the same polynomial factor it once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .config import CZ_SEED
+from .config import CZ_SEED, FACTOR_CACHE_SIZE
 from .field import FieldCtx
 from .poly import (
     Poly,
@@ -21,7 +24,7 @@ from .poly import (
     monics,
     poly_index,
 )
-from .poly import _divmod, _gcd, _is_irreducible, _mod, _powmod, _trim  # tuple kernels
+from .poly import _deriv, _divmod, _gcd, _is_irreducible, _mod, _powmod, _trim  # tuple kernels
 
 __all__ = [
     "Factorization",
@@ -75,6 +78,9 @@ def _squarefree_parts(f: Poly) -> dict[Poly, int]:
     with prod part^mult = f.  Standard characteristic-p routine with
     p-th-root descent for vanishing derivatives."""
     ctx = f.ctx
+    fp = _deriv(ctx, f.coeffs)
+    if fp and _gcd(ctx, f.coeffs, fp) == (1,):
+        return {f: 1}  # already squarefree, the common case
     p = ctx.p
     result: dict[Poly, int] = {}
     n = 1
@@ -106,9 +112,10 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     q = ctx.q
     out = []
     fc = f.coeffs
-    h = _powmod(ctx, (0, 1), q, fc)
+    h = (0, 1)
     d = 1
     while len(fc) - 1 >= 2 * d:
+        h = _powmod(ctx, h, q, fc)  # T^(q^d) mod fc
         diff = list(h)
         while len(diff) < 2:
             diff.append(0)
@@ -118,9 +125,6 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
             out.append((Poly._raw(ctx, g), d))
             fc = _divmod(ctx, fc, g)[0]
             h = _mod(ctx, h, fc)
-        if len(fc) == 1:
-            break
-        h = _powmod(ctx, h, q, fc)
         d += 1
     if len(fc) > 1:
         out.append((Poly._raw(ctx, fc), len(fc) - 1))
@@ -185,9 +189,20 @@ def _edf(f: Poly, d: int, draws) -> list[Poly]:
 
 
 def factor(f: Poly) -> Factorization:
-    """Factor nonzero f into monic irreducibles with multiplicities."""
+    """Factor nonzero f into monic irreducibles with multiplicities.
+
+    Memoised per field and coefficient tuple: the last FACTOR_CACHE_SIZE
+    distinct inputs are kept, so a polynomial that several routes ask about
+    is factored once."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
+    return _factor((f.ctx, f.ctx.key), f.coeffs)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factor(ctx_token, coeffs) -> Factorization:
+    ctx, _ = ctx_token
+    f = Poly._raw(ctx, coeffs)
     leading = f.lc
     fm = f.monic()
     if fm.degree == 0:

@@ -193,7 +193,8 @@ class FieldCtx:
 def cyclic_group(ctx: FieldCtx, f: tuple[int, ...]) -> tuple[int, list[int]]:
     """The unit group of F = ctx[T]/(f), for f monic irreducible: the
     smallest primitive residue in encoding order (as a base-q index) and its
-    power table, exp[i] = index of generator^i for i < |F| - 1."""
+    power table, exp[i] = index of generator^i for i < |F| - 1.  A
+    reducible f raises ValueError."""
     q, d = ctx.q, len(f) - 1
     order = q**d - 1
     ells = _int_prime_factors(order)
@@ -209,6 +210,10 @@ def cyclic_group(ctx: FieldCtx, f: tuple[int, ...]) -> tuple[int, list[int]]:
     for i in range(1, order):
         acc = _mod(ctx, _mul(ctx, g, acc), f)
         exp[i] = _index(q, acc)
+    # g passed the primitivity test, so g^order = 1 only if the units have
+    # order q^d - 1, i.e. f is irreducible
+    if _mod(ctx, _mul(ctx, g, acc), f) != one:
+        raise ValueError("no primitive residue: the modulus is reducible")
     return idx, exp
 
 

@@ -19,7 +19,11 @@ from ffmobius import (
     rational_kloosterman_aggregate,
     residue_ring,
 )
-from ffmobius.factor import irreducibles
+from ffmobius import characters
+from ffmobius.characters import local_logs, quadratic_character_mod
+from ffmobius.factor import divisors, factor, irreducibles
+from ffmobius.field import cyclic_group
+from ffmobius.poly import poly_index
 
 
 def squarefree_monics(ctx, d):
@@ -300,3 +304,72 @@ def test_aggregate_kloosterman_nondegenerate_bound(gf5):
                     assert ok
                     checked += 1
     assert checked >= 100
+
+
+def _dlog_parity_value(primes, f):
+    """The reference route for a real character: the product over P of
+    (-1)^dlog_P(f mod P), 0 when P | f."""
+    out = 1
+    for prime in primes:
+        r = f % prime
+        if r.is_zero:
+            return 0
+        out *= -1 if local_logs(prime).dlog[poly_index(r)] % 2 else 1
+    return out
+
+
+@pytest.mark.parametrize("ctxname,dmax", [("gf3", 3), ("gf5", 3), ("gf9", 2)])
+def test_real_characters_match_dlog_parity(ctxname, dmax, request):
+    """jacobi_character(E) and quadratic_character_mod(E, E1), E1 a proper
+    monic divisor of E, against the dlog parity at every residue mod every
+    squarefree monic E."""
+    ctx = request.getfixturevalue(ctxname)
+    for d in range(1, dmax + 1):
+        for E in squarefree_monics(ctx, d):
+            primes = [p for p, _ in factor(E).factors]
+            residues = list(polys_below(ctx, d))
+            chi = jacobi_character(E)
+            for f in residues:
+                assert chi(f) == _dlog_parity_value(primes, f)
+            for E1 in divisors(E):
+                if E1 == E:
+                    continue
+                chi1 = quadratic_character_mod(E, E1)
+                on = [p for p in primes if (E1 % p).is_zero]
+                for f in residues:
+                    # off E1 the local component is principal: 0 only where P | f
+                    unit = all(not (f % p).is_zero for p in primes)
+                    assert chi1(f) == (_dlog_parity_value(on, f) if unit else 0)
+
+
+@pytest.mark.parametrize("coeffs", [(2, 0, 1), (0, 0, 1)], ids=["T^2+2", "T^2"])
+def test_reducible_prime_rejected(coeffs, gf3):
+    P = Poly(gf3, coeffs)
+    with pytest.raises(ValueError):
+        local_logs(P)
+    with pytest.raises(ValueError):
+        cyclic_group(gf3, P.coeffs)
+
+
+def test_real_characters_build_no_log_tables(gf9, monkeypatch):
+    """Evaluating real characters, decompose and verify_decomposition
+    included, never builds a discrete-log table."""
+    from ffmobius import decompose, verify_decomposition
+
+    def refuse(*args):
+        raise AssertionError("cyclic_group called")
+
+    characters._local_logs.cache_clear()
+    monkeypatch.setattr(characters, "cyclic_group", refuse)
+    T = Poly.t(gf9)
+    E = (T**2 + Poly.one(gf9)) * (T + Poly.one(gf9))
+    for f in polys_below(gf9, 2):
+        jacobi_character(E)(f)
+    a, M = T + Poly.one(gf9), T
+    for d in (1, 2, 3):
+        for rp in {g.derivative() for g in monics(gf9, d)}:
+            data = decompose(a, M, rp, d)
+            assert verify_decomposition(data, a, M, rp, d).ok
+    with pytest.raises(AssertionError, match="cyclic_group"):
+        local_logs(T + Poly.one(gf9)).dlog
+    characters._local_logs.cache_clear()

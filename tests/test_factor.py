@@ -62,7 +62,48 @@ def test_factor_nonmonic_leading(gf5):
 
 def test_factor_is_deterministic(gf9):
     f = Poly(gf9, [3, 1, 4, 1, 5, 1])
-    assert factor(f) == factor(f)
+    first = factor(f)
+    _factor_module()._factor.cache_clear()
+    assert factor(f) == first
+
+
+def _factor_module():
+    import importlib
+
+    return importlib.import_module("ffmobius.factor")  # the package exports a function of that name
+
+
+def test_factor_memo_keeps_gf9_moduli_apart():
+    """Two GF(9) contexts with different moduli read the same coefficient
+    tuples as different polynomials; the memo must not hand one the other's
+    factorization."""
+    a = field_new(3, 2)
+    b = field_new(3, 2, modulus=[2, 1, 1])
+    assert a.modulus != b.modulus
+    differ = 0
+    for fa in monics(a, 2):
+        fb = Poly(b, fa.coeffs)
+        for _ in range(2):  # the second pass is served from the memo
+            ra, rb = factor(fa), factor(fb)
+            assert ra.reconstruct(a) == fa and rb.reconstruct(b) == fb
+            assert all(p.ctx is a for p, _ in ra.factors)
+            assert all(p.ctx is b for p, _ in rb.factors)
+        differ += [p.coeffs for p, _ in ra.factors] != [p.coeffs for p, _ in rb.factors]
+    assert differ > 0
+
+
+def test_factor_memo_is_bounded_by_its_constant(gf3):
+    from ffmobius.config import FACTOR_CACHE_SIZE
+
+    memo = _factor_module()._factor
+    assert memo.cache_info().maxsize == FACTOR_CACHE_SIZE
+    memo.cache_clear()
+    d = 1
+    while 3**d <= FACTOR_CACHE_SIZE:
+        d += 1
+    for f in monics(gf3, d):  # more distinct inputs than the memo holds
+        factor(f)
+    assert memo.cache_info().currsize == FACTOR_CACHE_SIZE
 
 
 def test_squarefree_agrees_with_oracle_exhaustive(gf3):
@@ -148,11 +189,10 @@ def test_factor_roundtrip_random_gf9(coeffs):
 def test_cantor_zassenhaus_stream_seeded_on_first_draw(gf3, monkeypatch):
     """A factorization that needs no equal-degree draw seeds no stream; one
     that does seeds exactly one and still finds the same factors."""
-    import importlib
     import random
     from types import SimpleNamespace
 
-    factor_mod = importlib.import_module("ffmobius.factor")  # the package exports a function of that name
+    factor_mod = _factor_module()
     seeds = []
 
     class Counting(random.Random):
@@ -161,6 +201,7 @@ def test_cantor_zassenhaus_stream_seeded_on_first_draw(gf3, monkeypatch):
             super().seed(a, version)
 
     monkeypatch.setattr(factor_mod, "random", SimpleNamespace(Random=Counting))
+    factor_mod._factor.cache_clear()  # a memoised factorization draws nothing
     T = Poly.t(gf3)
     one = Poly.one(gf3)
     for f in (T**3 + T * Poly.constant(gf3, 2) + one, T * (T + one) ** 2, T**5):
