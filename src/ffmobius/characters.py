@@ -81,13 +81,12 @@ class _LocalLogs:
 
 
 @lru_cache(maxsize=256)
-def _local_logs(ctx_token, prime_coeffs) -> _LocalLogs:
-    ctx, _ = ctx_token
+def _local_logs(ctx, prime_coeffs) -> _LocalLogs:
     return _LocalLogs(Poly(ctx, prime_coeffs))
 
 
 def local_logs(prime: Poly) -> _LocalLogs:
-    return _local_logs((prime.ctx, prime.ctx.key), prime.coeffs)
+    return _local_logs(prime.ctx, prime.coeffs)
 
 
 class DirichletCharacter:
@@ -310,13 +309,12 @@ class ResidueRing:
 
 
 @lru_cache(maxsize=128)
-def _ring_cache(ctx_token, m_coeffs) -> ResidueRing:
-    ctx, _ = ctx_token
+def _ring_cache(ctx, m_coeffs) -> ResidueRing:
     return ResidueRing(Poly(ctx, m_coeffs))
 
 
 def residue_ring(M: Poly) -> ResidueRing:
-    return _ring_cache((M.ctx, M.ctx.key), M.monic().coeffs)
+    return _ring_cache(M.ctx, M.monic().coeffs)
 
 
 class RootOfUnitySum:

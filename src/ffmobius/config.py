@@ -19,6 +19,10 @@ PAIR_TABLE_CAP = 1 << 10
 # built only up to this many entries.
 RING_TABLE_CAP = 1 << 16
 
+# field_new() interns this many contexts (least recently used dropped); each
+# holds q-sized tables, so the bound keeps large fields from piling up.
+FIELD_CACHE_SIZE = 32
+
 # factor() memoises this many factorizations (least recently used dropped).
 FACTOR_CACHE_SIZE = 1 << 12
 

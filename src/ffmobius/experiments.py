@@ -17,6 +17,8 @@ and has no effect: the loops are pure Python, so threads cannot overlap.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,14 +45,13 @@ from .decomposition import decompose, verify_decomposition
 from .errors import DegenerateClassError, ResourceLimitError
 from .extension import embed_field, lift_poly
 from .factor import divisors, factor, is_irreducible
-from .field import FieldCtx
+from .field import FieldCtx, pair_tables
 from .poly import (
     Poly,
     format_poly,
     gcd,
     is_squarefree,
     monics,
-    poly_from_index,
     poly_index,
     polys_below,
 )
@@ -137,51 +138,50 @@ def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSwee
     mod g, every residue f mod g, and every t <= m.
 
     The short sum only depends on f mod g, so running over residues covers
-    all longer f as well.  Sums for all residues at once follow the interval
-    recursion S_{t+1}(f) = sum_c S_t(f + c T^t), nine gathers per level.
+    all longer f as well.  S_t(f) only depends on the digits of f at
+    positions >= t, and S_{t+1}(f) = sum_c S_t(f + c T^t) sums over digit t,
+    the fastest axis in base-q index order: each level adds up groups of q
+    adjacent entries, and the array shrinks by q.  Residues mod each prime P
+    follow from x mod P = sum_j x_j (T^j mod P), digit by digit.
     """
     q = ctx.q
     size = q**m
-    if size * 600 > BULK_SIZE_CAP:
+    # the values of one g fill (phi(g) - 1) <= q^m - 2 rows of q^m entries
+    if (size - 2) * size > BULK_SIZE_CAP:
         raise ResourceLimitError("character sweep too large")
-    perms = sieve.shift_index_maps(ctx, m)
+    add2, mul2 = pair_tables(ctx)
+    x_digits = np.arange(size) // q ** np.arange(m)[:, None] % q  # digit j of x at [j, x]
     checks = violations = 0
     max_ratio = 0.0
     bounds = [_char_sum_bound(q, m, t) for t in range(m + 1)]
     for g in monics(ctx, m):
         if not is_squarefree(g):
             continue
-        primes = [p for p, _ in factor(g).factors]
-        locs = [local_logs(p) for p in primes]
+        locs = [local_logs(p) for p, _ in factor(g).factors]
         lcm = math.lcm(*(loc.order for loc in locs))
-        # residue -> local dlog (or -1 on the zero divisor locus)
-        dlogs = np.empty((len(locs), size), dtype=np.int64)
-        for i, loc in enumerate(locs):
-            pc, dlog = loc.prime, loc.dlog
-            col = np.empty(size, dtype=np.int64)
-            for x in range(size):
-                r = poly_from_index(ctx, x, m) % pc
-                col[x] = dlog[poly_index(r)] if not r.is_zero else -1
-            dlogs[i] = col
-        zero_mask = (dlogs < 0).any(axis=0)
-        safe_dlogs = np.where(dlogs < 0, 0, dlogs)
         # all nontrivial exponent vectors, lexicographic
-        import itertools
-
         exps = np.array(
             [e for e in itertools.product(*(range(loc.order) for loc in locs))][1:],
             dtype=np.int64,
         )
         if len(exps) == 0:
             continue
+        n = len(exps)
+        dlogs = np.empty((len(locs), size), dtype=np.int64)
+        for row, loc in zip(dlogs, locs):
+            # x mod P = sum_j x_j (T^j mod P), digit by digit in the pair tables
+            place = q ** np.arange(loc.degree)
+            powers = np.array([poly_index(Poly.monomial(ctx, j) % loc.prime) for j in range(m)])
+            terms = mul2[x_digits[:, None, :], powers[:, None, None] // place[:, None] % q]
+            residue = place @ functools.reduce(lambda a, b: add2[a, b], terms)
+            row[:] = np.array(loc.dlog)[residue]  # dlog[0] = -1 marks the zero divisors
         weights = np.array([lcm // loc.order for loc in locs], dtype=np.int64)
-        phases = ((exps * weights) @ safe_dlogs) % lcm
-        values = np.exp(2j * np.pi * phases / lcm)
-        values[:, zero_mask] = 0.0
-        s = values
+        phases = ((exps * weights) @ np.where(dlogs < 0, 0, dlogs)) % lcm
+        s = np.exp(2j * np.pi * np.arange(lcm) / lcm)[phases]
+        s[:, (dlogs < 0).any(axis=0)] = 0.0
         for t in range(m + 1):
             amax = float(np.abs(s).max())
-            checks += s.shape[0] * size
+            checks += n * size
             bound = bounds[t]
             if bound > 0:
                 max_ratio = max(max_ratio, amax / bound)
@@ -190,10 +190,7 @@ def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSwee
             elif amax > tol:
                 violations += 1
             if t < m:
-                nxt = s.copy()
-                for c in range(1, q):
-                    nxt += s[:, perms[t][c]]
-                s = nxt
+                s = s.reshape(n, -1, q).sum(axis=2)
     return CharSumSweep(checks=checks, violations=violations, max_ratio=max_ratio)
 
 

@@ -16,8 +16,7 @@ __all__ = ["embed_field", "lift_poly"]
 
 
 @lru_cache(maxsize=32)
-def _embedding(ctx_token, L: int):
-    ctx, _ = ctx_token
+def _embedding(ctx: FieldCtx, L: int):
     big = field_new(ctx.p, ctx.k * L)
     # The base modulus has prime-subfield coefficients, which encode as the
     # same small integers in the big field.
@@ -47,7 +46,7 @@ def embed_field(ctx: FieldCtx, L: int):
         raise ValueError("extension multiplier must be >= 1")
     if L == 1:
         return ctx, lambda x: x
-    big, images = _embedding((ctx, ctx.key), L)
+    big, images = _embedding(ctx, L)
     return big, images.__getitem__
 
 

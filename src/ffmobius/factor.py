@@ -196,12 +196,11 @@ def factor(f: Poly) -> Factorization:
     is factored once."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    return _factor((f.ctx, f.ctx.key), f.coeffs)
+    return _factor(f.ctx, f.coeffs)
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factor(ctx_token, coeffs) -> Factorization:
-    ctx, _ = ctx_token
+def _factor(ctx, coeffs) -> Factorization:
     f = Poly._raw(ctx, coeffs)
     leading = f.lc
     fm = f.monic()

@@ -5,6 +5,7 @@ coefficient vector in the polynomial basis F_p[x]/(modulus), low digit
 first.  A FieldCtx carries discrete-log, inverse and quadratic-character
 tables (plus flat q*q add/mul pair tables for small extension fields) and
 is immutable after construction, so it can be shared freely across workers.
+field_new interns contexts, so caches elsewhere key on the context itself.
 
 Every finite field is built one way: GF(p^k) for k > 1 and the residue
 fields F_q[T]/(P) of characters.local_logs both take their smallest
@@ -17,9 +18,11 @@ contexts support the generic ring operations but reject quad_char.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .config import PAIR_TABLE_CAP, field_table_cap
+from .config import FIELD_CACHE_SIZE, PAIR_TABLE_CAP, field_table_cap
 from .errors import ResourceLimitError
 from .poly import _digits, _index, _is_irreducible, _mod, _mul, _powmod, _trim
 
@@ -235,12 +238,14 @@ def pair_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
 
 
 def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) -> FieldCtx:
-    """Build a GF(p^k) context.
+    """The GF(p^k) context.
 
     If `modulus` (low-to-high F_p coefficients, length k+1, monic) is
     omitted, the smallest monic irreducible of degree k in encoding order
-    is chosen, so encodings are stable across runs.  Construction fails
-    with ResourceLimitError once q exceeds the configured table cap.
+    is chosen, so encodings are stable across runs.  Contexts are interned:
+    the same (p, k, modulus), given or chosen, returns the same object while
+    it stays among the last FIELD_CACHE_SIZE built.  Every call fails with
+    ResourceLimitError once q exceeds the configured table cap.
     """
     if not _is_prime_int(p):
         raise ValueError(f"characteristic {p} is not prime")
@@ -250,26 +255,38 @@ def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) ->
     q = p**k
     if q > cap:
         raise ResourceLimitError(f"q = {q} exceeds table cap {cap}")
+    if modulus is None:
+        return _build(p, k, _default_modulus(p, k))
+    mod = tuple(int(c) % p for c in modulus)
+    if len(mod) != k + 1 or mod[-1] != 1:
+        raise ValueError("modulus must be monic of degree k over GF(p)")
+    return _build(p, k, mod)
 
-    if modulus is not None:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != k + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree k over GF(p)")
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _default_modulus(p: int, k: int) -> tuple[int, ...]:
+    if k == 1:
+        return (0, 1)
+    gfp = _build(p, 1, (0, 1))
+    return next(f for f in (tuple(_digits(p, low, k)) + (1,) for low in range(p**k))
+                if _is_irreducible(gfp, f))
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _build(p: int, k: int, mod: tuple[int, ...]) -> FieldCtx:
+    """GF(p^k) = F_p[x]/(mod), for mod monic of degree k; ValueError if
+    mod is reducible."""
+    q = p**k
     if k == 1:
         # GF(p) is the integers mod p: no base field to run cyclic_group over
-        if modulus is None:
-            mod = (0, 1)
         ells = _int_prime_factors(p - 1)
         generator = next(g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in ells))
         exp_table = [1] * (p - 1)
         for i in range(1, p - 1):
             exp_table[i] = exp_table[i - 1] * generator % p
     else:
-        gfp = field_new(p, table_cap=cap)
-        if modulus is None:
-            mod = next(f for f in (tuple(_digits(p, low, k)) + (1,) for low in range(p**k))
-                       if _is_irreducible(gfp, f))
-        elif not _is_irreducible(gfp, mod):
+        gfp = _build(p, 1, (0, 1))
+        if not _is_irreducible(gfp, mod):
             raise ValueError("modulus is reducible over GF(p)")
         generator, exp_table = cyclic_group(gfp, mod)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,33 @@ def test_singular_series_past_decimal_digit_limit(capsys):
     ctx = field_new(3, 2)
     assert Fraction(num, den) == singular_series(Poly.one(ctx), 4).value
     assert rep["value"]["approx"] == float(Fraction(num, den))
+
+
+def test_repeated_calls_share_one_field_and_the_factor_memo():
+    """51 decompose calls in one process build GF(3) once, and every call
+    after the first is served from the factor memo."""
+    script = """
+import contextlib, gc, importlib, io
+from ffmobius.cli import main
+from ffmobius.field import FieldCtx
+memo = importlib.import_module("ffmobius.factor")._factor
+argv = ["decompose", "--q", "3", "--a", "T^4", "--M", "1", "--rprime", "0", "--d", "3", "--verify"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(argv) == 0
+    first = memo.cache_info()
+    for _ in range(50):
+        assert main(argv) == 0
+last = memo.cache_info()
+gc.collect()
+live = sum(isinstance(o, FieldCtx) and o.q == 3 for o in gc.get_objects())
+print(live, last.misses - first.misses, last.hits - first.hits)
+"""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    live, new_misses, new_hits = map(int, done.stdout.split())
+    assert live == 1
+    assert new_misses == 0 and new_hits > 0

@@ -5,7 +5,9 @@ import pytest
 
 from ffmobius import (
     Poly,
+    ResourceLimitError,
     characters_mod,
+    field_new,
     is_squarefree,
     mobius,
     monics,
@@ -73,28 +75,49 @@ def test_char_sum_shift_periodicity(gf3):
             assert abs(base - lifted) < 1e-9
 
 
-def test_char_sum_exhaustive_matches_single_op(gf3):
-    """The vectorized sweep and the one-shot op see the same worst ratio on
-    a small instance set."""
-    sweep = char_sum_exhaustive(gf3, 2)
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1)], ids=["gf3", "gf4", "gf5"])
+def test_char_sum_exhaustive_matches_single_op(p, k):
+    """The vectorized sweep and the one-shot op make the same checks and see
+    the same worst ratio, in characteristic 2 too, for characters of order
+    4, 8, 15 and 24 and primes of degree 1 and 2."""
+    ctx = field_new(p, k)
+    m = 2
+    sweep = char_sum_exhaustive(ctx, m)
     assert sweep.violations == 0
     worst = 0.0
-    for g in monics(gf3, 2):
+    checks = 0
+    for g in monics(ctx, m):
         if not is_squarefree(g):
             continue
         for chi in characters_mod(g):
             if chi.is_principal:
                 continue
-            for f in polys_below(gf3, 2):
-                for t in range(0, 3):
+            for f in polys_below(ctx, m):
+                for t in range(m + 1):
                     rep = char_sum_check(g, chi, f, t)
+                    assert rep.ok
+                    checks += 1
                     if rep.reference > 0:
                         worst = max(worst, rep.value / rep.reference)
+    assert sweep.checks == checks
     assert sweep.max_ratio == pytest.approx(worst, abs=1e-9)
 
 
 def test_char_sum_exhaustive_gf9_degree1(gf9):
     assert char_sum_exhaustive(gf9, 1).violations == 0
+
+
+def test_char_sum_exhaustive_gf9_degree2_pinned(gf9):
+    sweep = char_sum_exhaustive(gf9, 2)
+    assert (sweep.checks, sweep.violations) == (1_242_216, 0)
+    assert sweep.max_ratio == pytest.approx(2 / 3, abs=1e-12)
+
+
+def test_char_sum_exhaustive_refuses_oversized_sweep_up_front(gf5):
+    """GF(5), m = 6 would hold up to (5^6 - 2) x 5^6 complex values per g,
+    about 3.9 GB; the guard raises before anything is built."""
+    with pytest.raises(ResourceLimitError, match="character sweep too large"):
+        char_sum_exhaustive(gf5, 6)
 
 
 # -- rank bound -------------------------------------------------------------

@@ -33,10 +33,29 @@ def test_reducible_modulus_rejected():
 def test_table_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         field_new(2, 25, table_cap=1 << 20)
+    field_new(5)  # interned: the cap below must still refuse it
     monkeypatch.setenv("FFMOBIUS_TABLE_CAP", "4")
     with pytest.raises(ResourceLimitError):
         field_new(5)
     assert field_new(3).q == 3
+    with pytest.raises(ResourceLimitError):
+        field_new(3, table_cap=2)
+
+
+def test_field_new_interns_contexts():
+    """One context per (p, k, modulus), whether the modulus is given or
+    chosen; a different modulus is a different context."""
+    from ffmobius import field
+    from ffmobius.config import FIELD_CACHE_SIZE
+
+    a = field_new(3, 2)
+    assert field_new(3, 2) is a
+    assert field_new(3, 2, modulus=list(a.modulus)) is a
+    assert field_new(3) is field_new(3, 1, modulus=[0, 1])
+    b = field_new(3, 2, modulus=[2, 1, 1])
+    assert b is not a and b.modulus != a.modulus
+    assert field_new(3, 2, modulus=(2, 1, 1)) is b
+    assert field._build.cache_info().maxsize == FIELD_CACHE_SIZE
 
 
 def test_encoding_roundtrip(gf9):
