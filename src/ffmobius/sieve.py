@@ -1,25 +1,30 @@
-"""Vectorized enumeration kernels over all monic polynomials of one degree.
+"""Enumeration over all monic polynomials of one degree.
 
 Monic degree-e polynomials are indexed by the base-q encoding of their low
 coefficient vector, matching poly.monic_from_index.  On top of that index
 space this module provides an Eratosthenes-style sieve (irreducibility
-masks, Mobius and von Mangoldt value tables) and affine index maps
-g -> a + g*M, which together turn the degree-sweep experiments into a few
-numpy gathers.
+masks, Mobius and von Mangoldt value tables), affine index maps
+g -> a + g*M, and progression_values, the one path every mu/Lambda sum over
+a progression takes: a few numpy gathers under the caps, one loop over the
+monic polynomials above them.
 
-Everything here is an optimization layer: results are cross-checked in the
+The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
-factorization oracle).  Kernels refuse to run above the configured caps.
+factorization oracle).  Table kernels refuse to run above the configured
+caps.  Tables are cached per interned field context.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from .arith import mobius, von_mangoldt
 from .config import BULK_Q_CAP, BULK_SIZE_CAP
 from .errors import ResourceLimitError
 from .field import FieldCtx, pair_tables
-from .poly import Poly, _digits, _index
+from .poly import Poly, _digits, _index, monics
 from .poly import _mul as _poly_mul
 
 __all__ = [
@@ -29,11 +34,13 @@ __all__ = [
     "mobius_table",
     "lambda_table",
     "affine_index_map",
+    "progression_values",
     "mobius_degree_sum",
     "lambda_degree_sum",
 ]
 
-_cache: dict = {}
+_tables = functools.cache(pair_tables)
+_columns: dict = {}
 
 
 def bulk_available(ctx: FieldCtx, degree: int) -> bool:
@@ -47,27 +54,17 @@ def _require(ctx: FieldCtx, degree: int):
         )
 
 
-def _tables(ctx: FieldCtx):
-    """field.pair_tables(ctx), built once per field."""
-    key = (ctx.key, "fieldtables")
-    hit = _cache.get(key)
-    if hit is None:
-        hit = _cache[key] = pair_tables(ctx)
-    return hit
-
-
 def _digit_columns(ctx: FieldCtx, e: int) -> list[np.ndarray]:
     """Digit j of arange(q^e), for j < e."""
-    key = (ctx.key, "digits", e)
-    hit = _cache.get(key)
+    hit = _columns.get((ctx, e))
     if hit is not None:
         return hit
     q = ctx.q
     idx = np.arange(q**e, dtype=np.int64)
     cols = [(idx // q**j) % q for j in range(e)]
-    # only small widths are worth keeping around
+    # only small widths are worth keeping around: e = 13 over GF(3) is 160 MB
     if e <= 6:
-        _cache[key] = cols
+        _columns[(ctx, e)] = cols
     return cols
 
 
@@ -100,47 +97,29 @@ def _mul_fixed_monic(ctx: FieldCtx, a_coeffs: tuple[int, ...], e: int) -> np.nda
     return idx
 
 
-def _sieve_state(ctx: FieldCtx):
-    key = (ctx.key, "sieve")
-    st = _cache.get(key)
-    if st is None:
-        st = {"mask": {}, "coeffs": {}}
-        _cache[key] = st
-    return st
-
-
+@functools.cache
 def prime_mask(ctx: FieldCtx, d: int) -> np.ndarray:
     """Boolean mask over monics of degree d marking the irreducibles."""
     _require(ctx, d)
     if d < 1:
         raise ValueError("degree must be >= 1")
-    st = _sieve_state(ctx)
-    if d in st["mask"]:
-        return st["mask"][d]
-    q = ctx.q
     if d == 1:
-        mask = np.ones(q, dtype=bool)
-    else:
-        composite = np.zeros(q**d, dtype=bool)
-        for dp in range(1, d // 2 + 1):
-            for pc in primes_of_degree(ctx, dp):
-                composite[_mul_fixed_monic(ctx, pc, d - dp)] = True
-        mask = ~composite
-    st["mask"][d] = mask
-    return mask
+        return np.ones(ctx.q, dtype=bool)
+    composite = np.zeros(ctx.q**d, dtype=bool)
+    for dp in range(1, d // 2 + 1):
+        for pc in primes_of_degree(ctx, dp):
+            composite[_mul_fixed_monic(ctx, pc, d - dp)] = True
+    return ~composite
 
 
+@functools.cache
 def primes_of_degree(ctx: FieldCtx, d: int) -> list[tuple[int, ...]]:
     """Coefficient tuples of the monic irreducibles of degree d."""
-    st = _sieve_state(ctx)
-    if d in st["coeffs"]:
-        return st["coeffs"][d]
     mask = prime_mask(ctx, d)
-    out = [tuple(_digits(ctx.q, int(idx), d)) + (1,) for idx in np.nonzero(mask)[0]]
-    st["coeffs"][d] = out
-    return out
+    return [tuple(_digits(ctx.q, int(idx), d)) + (1,) for idx in np.nonzero(mask)[0]]
 
 
+@functools.cache
 def mobius_table(ctx: FieldCtx, d: int) -> np.ndarray:
     """mu over all monics of degree d, as int8, via the factor-counting sieve.
 
@@ -148,16 +127,9 @@ def mobius_table(ctx: FieldCtx, d: int) -> np.ndarray:
     degree not accounted for must be a single large prime factor.
     """
     _require(ctx, d)
-    key = (ctx.key, "mobius", d)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    q = ctx.q
     if d == 0:
-        table = np.array([1], dtype=np.int8)
-        _cache[key] = table
-        return table
-    n = q**d
+        return np.array([1], dtype=np.int8)
+    n = ctx.q**d
     nonsq = np.zeros(n, dtype=bool)
     omega = np.zeros(n, dtype=np.int8)
     sdeg = np.zeros(n, dtype=np.int8)
@@ -176,24 +148,16 @@ def mobius_table(ctx: FieldCtx, d: int) -> np.ndarray:
                 if j * dp <= d:
                     power = _poly_mul(ctx, power, pc)
     total_omega = omega + (sdeg < d)
-    table = np.where(nonsq, 0, 1 - 2 * (total_omega & 1)).astype(np.int8)
-    _cache[key] = table
-    return table
+    return np.where(nonsq, 0, 1 - 2 * (total_omega & 1)).astype(np.int8)
 
 
+@functools.cache
 def lambda_table(ctx: FieldCtx, d: int) -> np.ndarray:
     """von Mangoldt over all monics of degree d, as int16."""
     _require(ctx, d)
-    key = (ctx.key, "lambda", d)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    q = ctx.q
     if d == 0:
-        table = np.array([0], dtype=np.int16)
-        _cache[key] = table
-        return table
-    table = np.zeros(q**d, dtype=np.int16)
+        return np.array([0], dtype=np.int16)
+    table = np.zeros(ctx.q**d, dtype=np.int16)
     table[prime_mask(ctx, d)] = d
     for dp in range(1, d // 2 + 1):
         if d % dp:
@@ -203,8 +167,7 @@ def lambda_table(ctx: FieldCtx, d: int) -> np.ndarray:
             power = pc
             for _ in range(npow - 1):
                 power = _poly_mul(ctx, power, pc)
-            table[_index(q, power[:d])] = dp
-    _cache[key] = table
+            table[_index(ctx.q, power[:d])] = dp
     return table
 
 
@@ -244,21 +207,47 @@ def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.n
     return d_out, out
 
 
+def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
+    """prod_i F_i(a_i + g M_i) for every monic g of degree e, in index order.
+
+    terms lists (kind, a, M) with kind "mu" or "lambda" and M monic; each
+    a + g*M must be monic of one degree.  Within the caps every factor is
+    a gather from the sieve tables; above them one loop evaluates mobius
+    or von_mangoldt per polynomial, stopping at the first zero factor.
+    """
+    # looked up per call, so wrappers installed on the module attributes see these calls
+    routes = {"mu": (mobius_table, mobius), "lambda": (lambda_table, von_mangoldt)}
+    factors = [(*routes[kind], a, M) for kind, a, M in terms]
+    if not (bulk_available(ctx, e) and all(
+            bulk_available(ctx, max(a.degree, e + M.degree)) for _, a, M in terms)):
+        out = np.zeros(ctx.q**e, dtype=np.int64)
+        for i, g in enumerate(monics(ctx, e)):
+            value = 1
+            for _, fn, a, M in factors:
+                value *= fn(a + g * M)
+                if value == 0:
+                    break
+            out[i] = value
+        return out
+    # products stay in the tables' int8/int16: under BULK_SIZE_CAP every
+    # degree is at most 24, so |mu| <= 1 and the two Lambda factors of
+    # twin_count give |product| <= 24^2; even three stay below 2^15
+    out = None
+    for table, _, a, M in factors:
+        if a.is_zero and M.degree == 0:
+            vals = table(ctx, e)
+        else:
+            deg, idx = affine_index_map(ctx, a, M, e)
+            vals = table(ctx, deg)[idx]
+        out = vals if out is None else out * vals
+    return out
+
+
 def mobius_degree_sum(ctx: FieldCtx, d: int) -> int:
     """Exact sum of mu over all monics of degree d."""
-    if bulk_available(ctx, d):
-        return int(mobius_table(ctx, d).astype(np.int64).sum())
-    from .arith import mobius
-    from .poly import monics
-
-    return sum(mobius(f) for f in monics(ctx, d))
+    return int(progression_values(ctx, d, [("mu", Poly.zero(ctx), Poly.one(ctx))]).sum())
 
 
 def lambda_degree_sum(ctx: FieldCtx, d: int) -> int:
     """Exact sum of the von Mangoldt function over monics of degree d."""
-    if bulk_available(ctx, d):
-        return int(lambda_table(ctx, d).astype(np.int64).sum())
-    from .arith import von_mangoldt
-    from .poly import monics
-
-    return sum(von_mangoldt(f) for f in monics(ctx, d))
+    return int(progression_values(ctx, d, [("lambda", Poly.zero(ctx), Poly.one(ctx))]).sum())

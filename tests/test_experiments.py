@@ -16,6 +16,7 @@ from ffmobius import (
     von_mangoldt,
 )
 from ffmobius.experiments import (
+    _interval_sums,
     char_sum_check,
     char_sum_exhaustive,
     chowla_sum,
@@ -33,6 +34,7 @@ from ffmobius.experiments import (
     twin_count,
     vaughan_check,
 )
+from ffmobius.poly import poly_from_index
 
 
 # -- character sums ---------------------------------------------------------
@@ -101,6 +103,25 @@ def test_char_sum_exhaustive_matches_single_op(p, k):
                         worst = max(worst, rep.value / rep.reference)
     assert sweep.checks == checks
     assert sweep.max_ratio == pytest.approx(worst, abs=1e-9)
+
+
+def test_interval_sums_match_single_op_entry_by_entry(gf5):
+    """Row i of level t is the i-th nontrivial character of characters_mod,
+    column x is the interval starting at the residue of index x * q^t.
+    g = T(T + 1) has two prime factors, so no row is a single local
+    character and each level must sum the digit it claims to."""
+    T = Poly.t(gf5)
+    g = T * (T + Poly.one(gf5))
+    q, m = gf5.q, g.degree
+    chars = [c for c in characters_mod(g) if not c.is_principal]
+    levels = list(_interval_sums(g))
+    assert len(levels) == m + 1
+    for t, s in enumerate(levels):
+        assert s.shape == (len(chars), q ** (m - t))
+        for i, chi in enumerate(chars):
+            for x in range(q ** (m - t)):
+                f = poly_from_index(gf5, x * q**t, m)
+                assert abs(s[i, x]) == pytest.approx(char_sum_check(g, chi, f, t).value, abs=1e-9)
 
 
 def test_char_sum_exhaustive_gf9_degree1(gf9):
@@ -334,7 +355,10 @@ def test_twin_count_loop_equals_bulk(gf3):
     from ffmobius.factor import is_irreducible
 
     one = Poly.one(gf3)
-    for d in (4, 5):  # d = 4 has zero irreducible pairs at shift 1, d = 5 has six
+    # d = 1: every pair is prime; d = 2: every nonzero term has a prime
+    # square on one side, so no pair is prime although the value is 6;
+    # d = 4 has zero irreducible pairs at shift 1, d = 5 has six
+    for d in (1, 2, 4, 5):
         rep = twin_count(gf3, d, one)
         direct = sum(von_mangoldt(f) * von_mangoldt(f + one) for f in monics(gf3, d))
         assert rep.value == direct
