@@ -233,8 +233,10 @@ def _field_from_args(args):
 
 def _d_values(args, default):
     if args.d_range:
-        lo_str, hi_str = args.d_range.split("..", 1)
-        return list(range(int(lo_str), int(hi_str) + 1))
+        lo, sep, hi = args.d_range.partition("..")
+        if not (sep and lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+            raise ValueError(f"--d-range takes lo..hi with integers lo <= hi, got {args.d_range!r}")
+        return list(range(int(lo), int(hi) + 1))
     if default is None:
         raise ValueError("a degree is required (--d/--D or --d-range)")
     return [default]

@@ -1,12 +1,17 @@
 """Enumeration over all monic polynomials of one degree.
 
 Monic degree-e polynomials are indexed by the base-q encoding of their low
-coefficient vector, matching poly.monic_from_index.  On top of that index
-space this module provides an Eratosthenes-style sieve (irreducibility
-masks, Mobius and von Mangoldt value tables), affine index maps
-g -> a + g*M, and progression_values, the one path every mu/Lambda sum over
-a progression takes: a few numpy gathers under the caps, one loop over the
-monic polynomials above them.
+coefficient vector, matching poly.monic_from_index.  On that index space:
+
+- _affine_index gives the index of a + g*M for every monic g of degree e.
+  Each digit of the result depends on at most deg M + 1 axes of the
+  (q,)*e grid of g, so it is built there by broadcast gathers from the
+  pair tables; the index is the sum of the digits times q^k.
+- _sieve is one Eratosthenes-style pass per degree: it marks the multiples
+  of every P^j with deg P <= d/2 and reads the prime mask, the Mobius
+  table and the von Mangoldt table off what it recorded.
+- progression_values is the one path every mu/Lambda sum over a
+  progression takes: table gathers under the caps, one loop above them.
 
 The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
@@ -24,7 +29,7 @@ from .arith import mobius, von_mangoldt
 from .config import BULK_Q_CAP, BULK_SIZE_CAP
 from .errors import ResourceLimitError
 from .field import FieldCtx, pair_tables
-from .poly import Poly, _digits, _index, monics
+from .poly import Poly, _digits, monics
 from .poly import _mul as _poly_mul
 
 __all__ = [
@@ -40,7 +45,6 @@ __all__ = [
 ]
 
 _tables = functools.cache(pair_tables)
-_columns: dict = {}
 
 
 def bulk_available(ctx: FieldCtx, degree: int) -> bool:
@@ -54,62 +58,72 @@ def _require(ctx: FieldCtx, degree: int):
         )
 
 
-def _digit_columns(ctx: FieldCtx, e: int) -> list[np.ndarray]:
-    """Digit j of arange(q^e), for j < e."""
-    hit = _columns.get((ctx, e))
-    if hit is not None:
-        return hit
-    q = ctx.q
-    idx = np.arange(q**e, dtype=np.int64)
-    cols = [(idx // q**j) % q for j in range(e)]
-    # only small widths are worth keeping around: e = 13 over GF(3) is 160 MB
-    if e <= 6:
-        _columns[(ctx, e)] = cols
-    return cols
+def _affine_index(ctx: FieldCtx, a: tuple, M: tuple, e: int, d_out: int) -> np.ndarray:
+    """Index of a + g*M in the degree-d_out monics, for every monic g of degree e.
 
-
-def _mul_fixed_monic(ctx: FieldCtx, a_coeffs: tuple[int, ...], e: int) -> np.ndarray:
-    """Index of A*B over all monic B of degree e, A monic fixed."""
+    a and M are coefficient tuples, low first.  The g form a grid of shape
+    (q,)*e with digit j on axis e-1-j, so C order is index order.  Digit k
+    of the result, a_k + sum_i M_i g_{k-i} with g_e = 1, varies along at
+    most deg M + 1 axes: it is built there by broadcast gathers from the
+    pair tables, and the index is the sum of the digits times q^k.
+    """
     q = ctx.q
-    da = len(a_coeffs) - 1
-    if e == 0:
-        return np.array([_index(q, a_coeffs[:da])], dtype=np.int64)
     add2, mul2 = _tables(ctx)
-    digs = _digit_columns(ctx, e)
-    n = q**e
-    out_digits = [None] * (da + e)
-    for i, ai in enumerate(a_coeffs):
-        if ai == 0:
-            continue
-        row = mul2[ai]
-        for ip in range(e + 1):
-            j = i + ip
-            if j >= da + e:
-                continue  # the leading 1*1 term is implicit in monic indexing
-            contrib = row[digs[ip]] if ip < e else np.full(n, ai, dtype=np.int64)
-            cur = out_digits[j]
-            out_digits[j] = contrib.copy() if cur is None else add2[cur, contrib]
-    idx = np.zeros(n, dtype=np.int64)
-    for j in range(da + e):
-        col = out_digits[j]
-        if col is not None:
-            idx += col * q**j
-    return idx
+    g = [np.arange(q).reshape((q,) + (1,) * j) for j in range(e)]
+    terms = []
+    for k in range(d_out):
+        digit = a[k] if k < len(a) else 0
+        for i, Mi in enumerate(M):
+            j = k - i
+            if Mi and 0 <= j <= e:
+                digit = add2[digit, Mi if j == e else mul2[Mi][g[j]]]
+        terms.append(np.asarray(digit, dtype=np.int64) * q**k)
+    # summed inwards from both ends, each partial sum spans one more axis
+    # than the last, so only the final addition touches all q^e entries
+    h = (e + len(M)) // 2
+    return np.ravel(sum(terms[:h]) + sum(reversed(terms[h:])))
 
 
 @functools.cache
-def prime_mask(ctx: FieldCtx, d: int) -> np.ndarray:
-    """Boolean mask over monics of degree d marking the irreducibles."""
+def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prime mask, mu as int8, Lambda as int16) over the monics of degree d.
+
+    One pass marks every multiple of P^j for each prime P of degree <= d/2,
+    recording the degree the small primes account for (sdeg), how many
+    distinct ones divide f (omega), whether some P^2 divides f (square) and
+    deg P (pdeg).  Whatever degree is left over is one large prime factor,
+    so f is prime when sdeg == 0, and f = P^n exactly when a single small P
+    accounts for all of it.
+    """
     _require(ctx, d)
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if d == 1:
-        return np.ones(ctx.q, dtype=bool)
-    composite = np.zeros(ctx.q**d, dtype=bool)
+    n = ctx.q**d
+    sdeg = np.zeros(n, dtype=np.int8)
+    omega = np.zeros(n, dtype=np.int8)
+    pdeg = np.zeros(n, dtype=np.int8)
+    square = np.zeros(n, dtype=bool)
     for dp in range(1, d // 2 + 1):
         for pc in primes_of_degree(ctx, dp):
-            composite[_mul_fixed_monic(ctx, pc, d - dp)] = True
-    return ~composite
+            power = (1,)
+            for j in range(1, d // dp + 1):
+                power = _poly_mul(ctx, power, pc)
+                idx = _affine_index(ctx, (), power, d - j * dp, d)
+                sdeg[idx] += dp
+                if j == 1:
+                    omega[idx] += 1
+                    pdeg[idx] = dp
+                elif j == 2:
+                    square[idx] = True
+    prime = sdeg == 0
+    mu = np.where(square, 0, 1 - 2 * ((omega + (sdeg < d)) & 1)).astype(np.int8)
+    lam = np.where(prime, d, np.where((omega == 1) & (sdeg == d), pdeg, 0)).astype(np.int16)
+    return prime, mu, lam
+
+
+def prime_mask(ctx: FieldCtx, d: int) -> np.ndarray:
+    """Boolean mask over monics of degree d marking the irreducibles."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    return _sieve(ctx, d)[0]
 
 
 @functools.cache
@@ -119,56 +133,14 @@ def primes_of_degree(ctx: FieldCtx, d: int) -> list[tuple[int, ...]]:
     return [tuple(_digits(ctx.q, int(idx), d)) + (1,) for idx in np.nonzero(mask)[0]]
 
 
-@functools.cache
 def mobius_table(ctx: FieldCtx, d: int) -> np.ndarray:
-    """mu over all monics of degree d, as int8, via the factor-counting sieve.
-
-    Primes of degree <= d/2 are marked with multiplicity; any residual
-    degree not accounted for must be a single large prime factor.
-    """
-    _require(ctx, d)
-    if d == 0:
-        return np.array([1], dtype=np.int8)
-    n = ctx.q**d
-    nonsq = np.zeros(n, dtype=bool)
-    omega = np.zeros(n, dtype=np.int8)
-    sdeg = np.zeros(n, dtype=np.int8)
-    for dp in range(1, d // 2 + 1):
-        for pc in primes_of_degree(ctx, dp):
-            power = pc
-            j = 1
-            while j * dp <= d:
-                idx = _mul_fixed_monic(ctx, power, d - j * dp)
-                sdeg[idx] += dp
-                if j == 1:
-                    omega[idx] += 1
-                elif j == 2:
-                    nonsq[idx] = True
-                j += 1
-                if j * dp <= d:
-                    power = _poly_mul(ctx, power, pc)
-    total_omega = omega + (sdeg < d)
-    return np.where(nonsq, 0, 1 - 2 * (total_omega & 1)).astype(np.int8)
+    """mu over all monics of degree d, as int8."""
+    return _sieve(ctx, d)[1]
 
 
-@functools.cache
 def lambda_table(ctx: FieldCtx, d: int) -> np.ndarray:
     """von Mangoldt over all monics of degree d, as int16."""
-    _require(ctx, d)
-    if d == 0:
-        return np.array([0], dtype=np.int16)
-    table = np.zeros(ctx.q**d, dtype=np.int16)
-    table[prime_mask(ctx, d)] = d
-    for dp in range(1, d // 2 + 1):
-        if d % dp:
-            continue
-        npow = d // dp
-        for pc in primes_of_degree(ctx, dp):
-            power = pc
-            for _ in range(npow - 1):
-                power = _poly_mul(ctx, power, pc)
-            table[_index(ctx.q, power[:d])] = dp
-    return table
+    return _sieve(ctx, d)[2]
 
 
 def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.ndarray]:
@@ -188,23 +160,7 @@ def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.n
     if da > e + m and a.lc != 1:
         raise ValueError("a must be monic when it dominates the degree")
     _require(ctx, d_out)
-    q = ctx.q
-    add2, _ = _tables(ctx)
-    if m == 0:
-        out = np.arange(q**e, dtype=np.int64)
-    else:
-        out = _mul_fixed_monic(ctx, M.coeffs, e)
-    if e + m < d_out:
-        out = out + q ** (e + m)  # the product's leading 1 is a real digit here
-    # fold in a's digits below the output leading coefficient, position by
-    # position; each adjustment stays inside its own digit, so no carries
-    for j in range(min(len(a.coeffs), d_out)):
-        aj = a.coeffs[j]
-        if aj:
-            step = q**j
-            digit = (out // step) % q
-            out = out + (add2[digit, aj] - digit) * step
-    return d_out, out
+    return d_out, _affine_index(ctx, a.coeffs, M.coeffs, e, d_out)
 
 
 def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:

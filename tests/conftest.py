@@ -4,8 +4,18 @@ from ffmobius import field_new
 
 
 @pytest.fixture(scope="session")
+def gf2():
+    return field_new(2)
+
+
+@pytest.fixture(scope="session")
 def gf3():
     return field_new(3)
+
+
+@pytest.fixture(scope="session")
+def gf4():
+    return field_new(2, 2)
 
 
 @pytest.fixture(scope="session")

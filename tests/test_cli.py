@@ -98,8 +98,10 @@ def test_principal_char_rejected(capsys):
     (["mobius-ap", "--q", "3", "--M", "T", "--a", "1"], {}),
     (["twin", "--d", "3"], {}),
     (["kloosterman-aggregate", "--q", "5", "--M", "T", "--b", "1;2;3;1;2"], {}),
+    (["mobius-ap", "--q", "3", "--M", "T", "--a", "1", "--d-range", "5..2"], {}),
+    (["mobius-ap", "--q", "3", "--M", "T", "--a", "1", "--d-range", "2"], {}),
 ], ids=["twin-a0", "table-cap-env", "past-table-cap", "char-idx", "char-selector",
-        "no-degree", "no-field", "five-shifts"])
+        "no-degree", "no-field", "five-shifts", "reversed-d-range", "one-ended-d-range"])
 def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     """Bad input is a usage or domain error: exit 2, a single stderr line,
     no traceback and no report; exit 1 stays reserved for a failed bound."""

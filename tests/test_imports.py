@@ -1,7 +1,9 @@
-"""Every top-level import in the package modules is used.
+"""Every top-level import in the package modules is used, and every private
+top-level name is referenced somewhere in the package.
 
-No linter runs on this repository, so this catches the imports a refactor
-leaves behind.  __init__.py is skipped: it imports names to re-export them.
+No linter runs on this repository, so this catches the imports, helpers and
+module-level caches a refactor leaves behind.  __init__.py is skipped for
+imports: it imports names to re-export them.
 """
 
 import ast
@@ -10,7 +12,8 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ffmobius"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -40,3 +43,40 @@ def test_no_unused_top_level_imports(path):
 
 def test_detects_an_unused_import():
     assert _unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
+
+
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and assignments that no module
+    of `sources` (name -> text) references by name, attribute or import."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            out += [f"{module}: {name} (line {node.lineno})" for name in names
+                    if name.startswith("_") and not name.startswith("__") and name not in referenced]
+    return sorted(out)
+
+
+def test_every_private_name_is_referenced():
+    assert _unreferenced_private({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_detects_an_unreferenced_private_function():
+    source = "def _used():\n    return 1\n\n\ndef _left_over():\n    return _used()\n"
+    assert _unreferenced_private({"m.py": source}) == ["m.py: _left_over (line 5)"]

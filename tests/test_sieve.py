@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ffmobius import Poly, field_new, mobius, von_mangoldt
+from ffmobius import Poly, field_new, mobius, sieve, von_mangoldt
 from ffmobius.errors import ResourceLimitError
 from ffmobius.factor import is_irreducible
 from ffmobius.poly import monic_from_index
@@ -17,7 +19,8 @@ from ffmobius.sieve import (
 )
 
 
-@pytest.mark.parametrize("ctxname,dmax", [("gf3", 6), ("gf5", 4), ("gf9", 4)])
+# GF(2) and GF(4) have many prime powers P^n with n >= 2 among small degrees
+@pytest.mark.parametrize("ctxname,dmax", [("gf3", 6), ("gf5", 4), ("gf9", 4), ("gf2", 10), ("gf4", 5)])
 def test_prime_mask_matches_is_irreducible(ctxname, dmax, request):
     ctx = request.getfixturevalue(ctxname)
     for d in range(1, dmax + 1):
@@ -26,7 +29,7 @@ def test_prime_mask_matches_is_irreducible(ctxname, dmax, request):
             assert mask[i] == is_irreducible(monic_from_index(ctx, d, i))
 
 
-@pytest.mark.parametrize("ctxname,dmax", [("gf3", 6), ("gf9", 4), ("gf7", 3)])
+@pytest.mark.parametrize("ctxname,dmax", [("gf3", 6), ("gf9", 4), ("gf7", 3), ("gf2", 10), ("gf4", 5)])
 def test_mobius_table_matches_pellet(ctxname, dmax, request):
     ctx = request.getfixturevalue(ctxname)
     for d in range(0, dmax + 1):
@@ -35,7 +38,7 @@ def test_mobius_table_matches_pellet(ctxname, dmax, request):
             assert table[i] == mobius(monic_from_index(ctx, d, i))
 
 
-@pytest.mark.parametrize("ctxname,dmax", [("gf3", 6), ("gf9", 4)])
+@pytest.mark.parametrize("ctxname,dmax", [("gf3", 6), ("gf9", 4), ("gf2", 10), ("gf4", 5)])
 def test_lambda_table_matches_factorization(ctxname, dmax, request):
     ctx = request.getfixturevalue(ctxname)
     for d in range(1, dmax + 1):
@@ -59,17 +62,40 @@ def test_degree_sums(gf3, gf9):
             assert lambda_degree_sum(ctx, d) == ctx.q**d
 
 
-def test_affine_index_map_matches_direct(gf9):
-    T = Poly.t(gf9)
-    a = T**2 + Poly.constant(gf9, 5)
-    M = T + Poly.constant(gf9, 3)
-    deg, idx = affine_index_map(gf9, a, M, 3)
-    assert deg == 4
-    for i in range(9**3):
-        g = monic_from_index(gf9, 3, i)
-        f = a + g * M
-        assert f.is_monic and f.degree == 4
-        assert monic_from_index(gf9, 4, int(idx[i])) == f
+def test_cold_mobius_table_peak_is_small(gf3):
+    """One sieve pass holds no more than 16 bytes per table entry at its peak."""
+    d = 12
+    for dp in range(1, d // 2 + 1):
+        primes_of_degree(gf3, dp)
+    sieve._sieve.cache_clear()
+    tracemalloc.start()
+    try:
+        mobius_table(gf3, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * gf3.q**d
+
+
+# (field, a, M, e, degree of a + g*M); coefficients low first
+@pytest.mark.parametrize("ctxname,a,M,e,deg", [
+    ("gf9", [5, 0, 1], [3, 1], 3, 4),
+    ("gf3", [], [2, 1, 1], 3, 5),  # the sieve's own call shape
+    ("gf5", [3, 1], [1, 2, 1], 0, 2),
+    ("gf3", [0, 1, 0, 2, 0, 1], [1, 0, 1], 2, 5),  # a dominates; digit 4 is g's leading 1
+    ("gf9", [7, 1], [1], 3, 3),
+    ("gf4", [2, 1], [3, 2, 1], 3, 5),
+], ids=["gf9", "a0-degM2", "e0", "a-dominant", "M1", "gf4"])
+def test_affine_index_map_matches_direct(ctxname, a, M, e, deg, request):
+    ctx = request.getfixturevalue(ctxname)
+    a, M = Poly(ctx, a), Poly(ctx, M)
+    d_out, idx = affine_index_map(ctx, a, M, e)
+    assert d_out == deg
+    assert idx.shape == (ctx.q**e,)
+    for i in range(ctx.q**e):
+        f = a + monic_from_index(ctx, e, i) * M
+        assert f.is_monic and f.degree == deg
+        assert monic_from_index(ctx, deg, int(idx[i])) == f
 
 
 def test_affine_index_map_dominant_a(gf3):
