@@ -5,6 +5,7 @@ import pytest
 
 from ffmobius import Poly, field_new, mobius, sieve, von_mangoldt
 from ffmobius.errors import ResourceLimitError
+from ffmobius.experiments import chowla_sum
 from ffmobius.factor import is_irreducible
 from ffmobius.poly import monic_from_index
 from ffmobius.sieve import (
@@ -16,6 +17,7 @@ from ffmobius.sieve import (
     mobius_table,
     prime_mask,
     primes_of_degree,
+    progression_values,
 )
 
 
@@ -75,6 +77,68 @@ def test_cold_mobius_table_peak_is_small(gf3):
     finally:
         tracemalloc.stop()
     assert peak < 16 * gf3.q**d
+
+
+def test_sieve_makes_one_kernel_call_per_batch(gf3, monkeypatch):
+    """GF(3) degree 14 needs 36 batches for its 1,101 prime powers."""
+    for dp in range(1, 8):
+        primes_of_degree(gf3, dp)
+    calls = []
+    kernel = sieve._affine_index
+    monkeypatch.setattr(sieve, "_affine_index", lambda *args: calls.append(args) or kernel(*args))
+    tables = sieve._sieve.__wrapped__(gf3, 14)  # uncached: leaves the table cache alone
+    assert len(calls) <= 40
+    assert all(len(Ms) * gf3.q**e <= gf3.q**13 for _, _, Ms, e, _ in calls)
+    assert int(tables[1].sum()) == 0  # the Mobius sum over a degree >= 2
+
+
+def test_sieve_tables_are_read_only(gf3):
+    values = progression_values(gf3, 3, [("mu", Poly.zero(gf3), Poly.one(gf3))])
+    with pytest.raises(ValueError):
+        values[:] = 1
+    for table in sieve._sieve(gf3, 3):
+        assert not table.flags.writeable
+    assert mobius_degree_sum(gf3, 3) == 0
+
+
+def test_warm_progression_holds_one_index_array(gf3):
+    """Two shifted terms: each index array is dropped after its gather."""
+    d = 12
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    pairs = [(one, one), (T + Poly.constant(gf3, 2), one)]
+    expected = chowla_sum(gf3, d, pairs).value  # builds the tables
+    tracemalloc.start()
+    try:
+        value = chowla_sum(gf3, d, pairs).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 12 * gf3.q**d
+
+
+def _prime_powers(ctx, dp, j):
+    return [(Poly(ctx, list(P)) ** j).coeffs for P in primes_of_degree(ctx, dp)]
+
+
+# (field, degree of the primes, power j, e); the sieve's own batches and e = 0
+@pytest.mark.parametrize("ctxname,dp,j,e", [
+    ("gf3", 2, 1, 3),
+    ("gf3", 2, 2, 1),
+    ("gf9", 1, 1, 2),
+    ("gf4", 2, 1, 3),
+    ("gf4", 1, 3, 2),
+    ("gf3", 3, 1, 0),
+], ids=["gf3-deg2", "gf3-squares", "gf9", "gf4", "gf4-cubes", "e0"])
+def test_batched_kernel_joins_single_calls(ctxname, dp, j, e, request):
+    ctx = request.getfixturevalue(ctxname)
+    Ms = _prime_powers(ctx, dp, j)
+    d_out = e + dp * j
+    batch = sieve._affine_index(ctx, (), Ms, e, d_out)
+    singles = [sieve._affine_index(ctx, (), [M], e, d_out) for M in Ms]
+    assert len(Ms) > 1
+    assert batch.dtype == np.int64
+    assert np.array_equal(batch, np.concatenate(singles))
 
 
 # (field, a, M, e, degree of a + g*M); coefficients low first
