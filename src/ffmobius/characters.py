@@ -291,9 +291,6 @@ class ResidueRing:
             ]
         return row[j]
 
-    def is_unit(self, idx: int) -> bool:
-        return self.inv_index[idx] >= 0
-
     def trace_to_base(self, coeffs) -> int:
         """Trace of multiplication-by-x on A as an F_q-linear map."""
         ctx = self.ctx
@@ -334,9 +331,6 @@ class RootOfUnitySum:
         return sum(
             c * cmath.exp(2j * cmath.pi * v / p) for v, c in enumerate(self.counts) if c
         ) + 0j
-
-    def __abs__(self) -> float:
-        return abs(self.to_complex())
 
 
 class AdditiveCharacter:
@@ -440,14 +434,14 @@ def rational_kloosterman_aggregate(
     acc = RootOfUnitySum(ctx.p)
     kl_cache: dict[int, RootOfUnitySum] = {}
     for x in range(size):
-        shifted = [_shift_index(ring, x, t) for t in bi]
+        shifted = [_digitwise(ring, ctx.add, x, t) for t in bi]
         if any(inv[s] < 0 for s in shifted):
             continue
         r = 0
         for s in shifted[:3]:
-            r = _shift_index(ring, r, inv[s])
+            r = _digitwise(ring, ctx.add, r, inv[s])
         for s in shifted[3:]:
-            r = _sub_index(ring, r, inv[s])
+            r = _digitwise(ring, ctx.sub, r, inv[s])
         part = kl_cache.get(r)
         if part is None:
             part = _kloosterman_idx(ring, psi, r, zi)
@@ -465,26 +459,14 @@ def rational_kloosterman_aggregate(
     return value, bound, abs(value) <= bound + 1e-9
 
 
-def _shift_index(ring: ResidueRing, i: int, j: int) -> int:
-    ctx = ring.ctx
-    q = ctx.q
+def _digitwise(ring: ResidueRing, op, i: int, j: int) -> int:
+    """Index of the residue whose base-q digits are op(digit of i, digit of
+    j): ring.index(x + y) for op = ctx.add, ring.index(x - y) for ctx.sub."""
+    q = ring.ctx.q
     out = 0
     m = 1
     for _ in range(ring.m):
-        out += ctx.add(i % q, j % q) * m
-        i //= q
-        j //= q
-        m *= q
-    return out
-
-
-def _sub_index(ring: ResidueRing, i: int, j: int) -> int:
-    ctx = ring.ctx
-    q = ctx.q
-    out = 0
-    m = 1
-    for _ in range(ring.m):
-        out += ctx.sub(i % q, j % q) * m
+        out += op(i % q, j % q) * m
         i //= q
         j //= q
         m *= q

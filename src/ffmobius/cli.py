@@ -188,8 +188,6 @@ REGISTRY = {
 
 def _add_common(sp):
     sp.add_argument("--q", help="field size as P^K or a prime")
-    sp.add_argument("--p", type=int, help="characteristic (with --k)")
-    sp.add_argument("--k", type=int, default=1, help="extension degree")
     sp.add_argument("--modulus", help="field modulus c0,c1,...,ck (low to high)")
     sp.add_argument("--seed", type=int, default=0, help="recorded in each report; seeds nothing")
     sp.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
@@ -205,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ffmobius", description=__doc__)
     sub = ap.add_subparsers(dest="experiment", required=True)
     for name, exp in REGISTRY.items():
-        sp = sub.add_parser(name, help=exp.help)
+        # exact flags only: a prefix of a flag is not read as the flag
+        sp = sub.add_parser(name, help=exp.help, allow_abbrev=False)
         _add_common(sp)
         if exp.sweep:
             sp.add_argument("--" + exp.sweep, type=int)
@@ -215,16 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _field_from_args(args):
-    if args.q:
-        if "^" in args.q:
-            p_str, k_str = args.q.split("^", 1)
-            p, k = int(p_str), int(k_str)
-        else:
-            p, k = int(args.q), 1
-    elif args.p:
-        p, k = args.p, args.k
-    else:
-        raise ValueError("a field is required: --q P^K or --p P [--k K]")
+    if not args.q:
+        raise ValueError("a field is required: --q P^K")
+    p_str, k_str = args.q.split("^", 1) if "^" in args.q else (args.q, "1")
+    try:
+        p, k = int(p_str), int(k_str)
+    except ValueError:
+        raise ValueError(f"--q takes P^K or a prime P, got {args.q!r}") from None
     modulus = None
     if args.modulus:
         modulus = [int(c) for c in args.modulus.split(",")]
@@ -264,9 +260,12 @@ def _dispatch(args, ctx) -> list[ExperimentReport]:
 
 
 def _csv_dump(reports) -> str:
+    """One row per report: the fixed columns, then one param:<key> column per
+    parameter and one detail:<key> column per details entry."""
     keys = ["experiment", "p", "k", "seed", "value", "reference", "ratio", "ok", "runtime_ms"]
     param_keys = sorted({k for r in reports for k in r.params})
-    header = keys + [f"param:{k}" for k in param_keys]
+    detail_keys = sorted({k for r in reports for k in r.details})
+    header = keys + [f"param:{k}" for k in param_keys] + [f"detail:{k}" for k in detail_keys]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -283,21 +282,23 @@ def _csv_dump(reports) -> str:
             "runtime_ms": r.runtime_ms,
         }
         row = [flat[k] for k in keys]
-        for k in param_keys:
-            v = r.params.get(k)
-            row.append(_scalar(v) if v is not None else "")
+        for extra, names in ((r.params, param_keys), (r.details, detail_keys)):
+            row += [_scalar(extra[k]) if extra.get(k) is not None else "" for k in names]
         writer.writerow(row)
     return out.getvalue()
 
 
 def _scalar(v):
+    """A CSV cell: polynomials in the literal grammar, rationals as their
+    float approximation (empty past the float range; the exact value is in
+    the JSON output), lists joined by ';'."""
     if isinstance(v, Poly):
         return format_poly(v)
     if isinstance(v, complex):
         return f"{v.real}+{v.imag}j"
     enc = encode_value(v)
     if isinstance(enc, dict):
-        return enc.get("rational", str(enc))
+        return enc.get("approx", str(enc))
     if isinstance(enc, list):
         return ";".join(str(x) for x in enc)
     return enc

@@ -35,6 +35,7 @@ from .arith import (
 from .characters import (
     AdditiveCharacter,
     DirichletCharacter,
+    RootOfUnitySum,
     c_sum,
     kloosterman,
     local_logs,
@@ -184,7 +185,7 @@ def _interval_sums(g: Poly):
         yield s
 
 
-def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSweep:
+def char_sum_exhaustive(ctx: FieldCtx, m: int) -> CharSumSweep:
     """Sweep every squarefree monic g of degree m, every nontrivial character
     mod g, every residue f mod g, and every t <= m.
 
@@ -208,9 +209,9 @@ def char_sum_exhaustive(ctx: FieldCtx, m: int, tol: float = 1e-9) -> CharSumSwee
             checks += len(s) * size
             if bound > 0:
                 max_ratio = max(max_ratio, amax / bound)
-                if amax > bound + tol:
+                if amax > bound + 1e-9:
                     violations += 1
-            elif amax > tol:
+            elif amax > 1e-9:
                 violations += 1
     return CharSumSweep(checks=checks, violations=violations, max_ratio=max_ratio)
 
@@ -518,8 +519,7 @@ def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None) -
         raise ValueError("M must be squarefree monic nonconstant")
     ring = residue_ring(M)
     psi = AdditiveCharacter(ring, h if h is not None else Poly.one(ctx))
-    p = ctx.p
-    counts = [0] * p
+    acc = RootOfUnitySum(ctx.p)
     for g in monics(ctx, d):
         inv = ring.inv_index[ring.index(g)]
         if inv < 0:
@@ -527,8 +527,8 @@ def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None) -
         mu = mobius(g)
         if mu == 0:
             continue
-        counts[psi.exponent_index(inv)] += mu
-    value = complex(sum(c * np.exp(2j * np.pi * v / p) for v, c in enumerate(counts) if c))
+        acc.add(psi.exponent_index(inv), mu)
+    value = acc.to_complex()
     m = M.degree
     reference = ctx.q ** (3 * m / 16 + 25 * d / 32)
     return ExperimentReport(

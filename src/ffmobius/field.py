@@ -220,9 +220,11 @@ def cyclic_group(ctx: FieldCtx, f: tuple[int, ...]) -> tuple[int, list[int]]:
     return idx, exp
 
 
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def pair_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """q x q numpy add/mul tables, built by broadcasting: addition digit by
-    digit mod p, multiplication through the discrete-log tables."""
+    digit mod p, multiplication through the discrete-log tables.  Memoised
+    per interned context, like the contexts themselves, and read-only."""
     q, p = ctx.q, ctx.p
     x = np.arange(q, dtype=np.int64)
     add = np.zeros((q, q), dtype=np.int64)
@@ -234,10 +236,12 @@ def pair_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     mul = exp[(dlog[:, None] + dlog) % (q - 1)]
     mul[0, :] = 0
     mul[:, 0] = 0
+    add.setflags(write=False)
+    mul.setflags(write=False)
     return add, mul
 
 
-def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) -> FieldCtx:
+def field_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
     """The GF(p^k) context.
 
     If `modulus` (low-to-high F_p coefficients, length k+1, monic) is
@@ -245,13 +249,13 @@ def field_new(p: int, k: int = 1, modulus=None, table_cap: int | None = None) ->
     is chosen, so encodings are stable across runs.  Contexts are interned:
     the same (p, k, modulus), given or chosen, returns the same object while
     it stays among the last FIELD_CACHE_SIZE built.  Every call fails with
-    ResourceLimitError once q exceeds the configured table cap.
+    ResourceLimitError once q exceeds the table cap (FFMOBIUS_TABLE_CAP).
     """
     if not _is_prime_int(p):
         raise ValueError(f"characteristic {p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    cap = table_cap if table_cap is not None else field_table_cap()
+    cap = field_table_cap()
     q = p**k
     if q > cap:
         raise ResourceLimitError(f"q = {q} exceeds table cap {cap}")

@@ -47,8 +47,6 @@ __all__ = [
     "lambda_degree_sum",
 ]
 
-_tables = functools.cache(pair_tables)
-
 
 def bulk_available(ctx: FieldCtx, degree: int) -> bool:
     return ctx.q <= BULK_Q_CAP and ctx.q**degree <= BULK_SIZE_CAP
@@ -74,7 +72,7 @@ def _affine_index(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int) -> np.n
     digits times q^k.
     """
     q = ctx.q
-    add2, mul2 = _tables(ctx)
+    add2, mul2 = pair_tables(ctx)
     g = [np.arange(q).reshape((q,) + (1,) * j) for j in range(e)]
     single = len(Ms) == 1
     if single:  # Python scalars: mul2[Mi] is a row view, so one gather per digit

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -27,11 +29,17 @@ def test_twin_example(capsys):
     assert rep["field"] == {"p": 3, "k": 1}
 
 
-def test_field_spec_forms(capsys):
-    code1, out1 = run(capsys, "twin", "--q", "3^2", "--d", "2", "--a", "1", "--canonical")
-    code2, out2 = run(capsys, "twin", "--p", "3", "--k", "2", "--d", "2", "--a", "1", "--canonical")
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize("argv", [
+    ["twin", "--p", "3", "--k", "2", "--d", "2", "--a", "1"],
+    ["chowla", "--p", "3", "--d", "2", "--pair", "1"],
+], ids=["p-k", "p-as-pair-prefix"])
+def test_p_k_field_spelling_rejected(argv, capsys):
+    """--q P^K is the one field spelling; --p is not read as a prefix of
+    --pair either."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_explicit_modulus(capsys):
@@ -53,11 +61,19 @@ def test_d_range_sweep(capsys):
 
 
 def test_csv_output(capsys):
-    code, out = run(capsys, "twin", "--q", "3", "--d-range", "2..3", "--a", "1", "--out", "csv")
+    """Details get columns after the params, and rationals print as floats:
+    the GF(9) reference at --sing-trunc 4 has parts of about 11,000 digits."""
+    code, out = run(capsys, "twin", "--q", "3^2", "--d-range", "2..3", "--a", "1",
+                    "--sing-trunc", "4", "--out", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("experiment,p,k,seed,value")
+    assert lines[0].endswith(",param:sing_trunc,detail:prime_pairs")
     assert len(lines) == 3
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["detail:prime_pairs"] for r in rows] == ["18", "69"]
+    for r in rows:
+        assert 0 < float(r["reference"]) < float(r["value"]) * 2
 
 
 def test_decompose_verify(capsys):
@@ -100,8 +116,12 @@ def test_principal_char_rejected(capsys):
     (["kloosterman-aggregate", "--q", "5", "--M", "T", "--b", "1;2;3;1;2"], {}),
     (["mobius-ap", "--q", "3", "--M", "T", "--a", "1", "--d-range", "5..2"], {}),
     (["mobius-ap", "--q", "3", "--M", "T", "--a", "1", "--d-range", "2"], {}),
+    (["twin", "--q", "3^", "--d", "3"], {}),
+    (["twin", "--q", "^2", "--d", "3"], {}),
+    (["twin", "--q", "3^x", "--d", "3"], {}),
 ], ids=["twin-a0", "table-cap-env", "past-table-cap", "char-idx", "char-selector",
-        "no-degree", "no-field", "five-shifts", "reversed-d-range", "one-ended-d-range"])
+        "no-degree", "no-field", "five-shifts", "reversed-d-range", "one-ended-d-range",
+        "q-no-degree", "q-no-prime", "q-bad-degree"])
 def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     """Bad input is a usage or domain error: exit 2, a single stderr line,
     no traceback and no report; exit 1 stays reserved for a failed bound."""

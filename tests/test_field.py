@@ -31,15 +31,17 @@ def test_reducible_modulus_rejected():
 
 
 def test_table_cap(monkeypatch):
+    monkeypatch.delenv("FFMOBIUS_TABLE_CAP", raising=False)
     with pytest.raises(ResourceLimitError):
-        field_new(2, 25, table_cap=1 << 20)
+        field_new(2, 25)  # 2^25 is past the default cap of 2^20
     field_new(5)  # interned: the cap below must still refuse it
     monkeypatch.setenv("FFMOBIUS_TABLE_CAP", "4")
     with pytest.raises(ResourceLimitError):
         field_new(5)
     assert field_new(3).q == 3
+    monkeypatch.setenv("FFMOBIUS_TABLE_CAP", "2")
     with pytest.raises(ResourceLimitError):
-        field_new(3, table_cap=2)
+        field_new(3)
 
 
 def test_field_new_interns_contexts():

@@ -1,5 +1,6 @@
-"""Every top-level import in the package modules is used, and every private
-top-level name is referenced somewhere in the package.
+"""Every top-level import in the package modules and the test files is
+used, and every private top-level name is referenced somewhere in the
+package.
 
 No linter runs on this repository, so this catches the imports, helpers and
 module-level caches a refactor leaves behind.  __init__.py is skipped for
@@ -11,9 +12,10 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ffmobius"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "ffmobius"
 SOURCES = sorted(PACKAGE.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+MODULES = [p for p in SOURCES if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,7 +38,8 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: f"tests/{p.name}" if p.parent == TESTS else p.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path.read_text()) == []
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffmobius import Poly, ResidueRing, field_new, parse_poly
 from ffmobius.config import PAIR_TABLE_CAP, RING_TABLE_CAP
+from ffmobius.field import pair_tables
 from ffmobius.poly import _add, _divmod, _mod, _mul, _powmod, _sub, _trim
 
 FIELDS = {q: field_new(p, k) for q, (p, k) in {
@@ -138,9 +139,9 @@ def test_mul_index_past_the_cap_samples():
 
 @pytest.mark.parametrize("q", [3, 7, 4, 8, 9, 25, 27])
 def test_sieve_numpy_tables_match_field(q):
-    from ffmobius.sieve import _tables
-
     ctx = FIELDS[q]
-    add, mul = _tables(ctx)
+    add, mul = pair_tables(ctx)
+    assert pair_tables(ctx) is pair_tables(ctx)
+    assert not (add.flags.writeable or mul.flags.writeable)
     assert add.tolist() == [[ctx.add(x, y) for y in range(q)] for x in range(q)]
     assert mul.tolist() == [[ctx.mul(x, y) for y in range(q)] for x in range(q)]
