@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import factor
+from .factor import distinct_degree_split, factor
 from .poly import Poly, discriminant, ext_gcd, gcd, monics, resultant
+from .poly import _pow_qsum  # tuple kernel
 
 __all__ = [
     "mobius_pellet",
@@ -56,13 +57,13 @@ def mobius(f: Poly) -> int:
 
 def mobius_oracle(f: Poly) -> int:
     """mu via the factorization oracle: 0 on non-squarefree, else parity of
-    the number of irreducible factors."""
+    the number of irreducible factors, read off the distinct-degree split."""
     if f.is_zero or not f.is_monic:
         raise ValueError("mobius is defined on monic nonzero polynomials")
-    fac = factor(f)
-    if not fac.is_squarefree:
+    split = distinct_degree_split(f)
+    if any(mult > 1 for _, _, mult in split):
         return 0
-    return -1 if fac.omega % 2 else 1
+    return -1 if sum(prod.degree // d for prod, d, _ in split) % 2 else 1
 
 
 def von_mangoldt(f: Poly) -> int:
@@ -121,11 +122,11 @@ def jacobi_oracle(f: Poly, g: Poly) -> int:
             return 0
         if mult % 2 == 0:
             continue
-        e = (ctx.q ** prime.degree - 1) // 2
-        s = r.powmod(e, prime)
-        if s == Poly.one(ctx):
+        # r^((q^deg P - 1) / 2) mod P
+        s = _pow_qsum(ctx, r.coeffs, (ctx.q - 1) // 2, prime.degree, prime.coeffs)
+        if s == (1,):
             continue
-        if s == Poly.constant(ctx, ctx.neg_table[1]):
+        if s == (ctx.neg_table[1],):
             out = -out
         else:  # pragma: no cover - would mean a broken residue field
             raise AssertionError("Euler criterion value outside {1,-1}")

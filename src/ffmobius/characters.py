@@ -282,6 +282,15 @@ class ResidueRing:
             return self._product(_trim(_digits(q, i, m)), _trim(_digits(q, j, m)))
         row = rows[i]
         if row is None:
+            row = self._row(i)
+        return row[j]
+
+    def _row(self, i: int) -> list[int]:
+        """Row i of the product table (the indices of i * x for every x),
+        filled on first use; only for rings within the table cap."""
+        rows = self._rows
+        row = rows[i]
+        if row is None:
             # products are symmetric: reuse column i of the rows already filled
             q, m = self.ctx.q, self.m
             a = _trim(_digits(q, i, m))
@@ -289,7 +298,7 @@ class ResidueRing:
                 self._product(a, _trim(_digits(q, x, m))) if r is None else r[i]
                 for x, r in enumerate(rows)
             ]
-        return row[j]
+        return row
 
     def trace_to_base(self, coeffs) -> int:
         """Trace of multiplication-by-x on A as an F_q-linear map."""
@@ -396,9 +405,17 @@ def kloosterman(M: Poly, psi: AdditiveCharacter, x: Poly, z: Poly) -> complex:
 def _kloosterman_idx(ring: ResidueRing, psi: AdditiveCharacter, xi: int, zi: int) -> RootOfUnitySum:
     p = ring.ctx.p
     acc = RootOfUnitySum(p)
+    inv = ring.inv_index
+    table = psi._table
+    if table is not None and ring._rows is not None:
+        # the two product rows, filled once, and the trace table: no calls
+        rx, rz = ring._row(xi), ring._row(zi)
+        counts = acc.counts
+        for y in ring.units:
+            counts[(table[rx[inv[y]]] + table[rz[y]]) % p] += 1
+        return acc
     mul = ring.mul_index
     exp = psi.exponent_index
-    inv = ring.inv_index
     for y in ring.units:
         acc.add(exp(mul(xi, inv[y])) + exp(mul(zi, y)))
     return acc

@@ -196,11 +196,19 @@ def _add_common(sp):
     sp.add_argument("--d-range", dest="d_range", help="sweep the degree: lo..hi")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise the ValueError that main reports as one line and
+    exit 2; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ffmobius parser, built once per process: parse_args leaves the
     parser unchanged and gives each call its own namespace."""
-    ap = argparse.ArgumentParser(prog="ffmobius", description=__doc__)
+    ap = _Parser(prog="ffmobius", description=__doc__)
     sub = ap.add_subparsers(dest="experiment", required=True)
     for name, exp in REGISTRY.items():
         # exact flags only: a prefix of a flag is not read as the flag
@@ -305,8 +313,8 @@ def _scalar(v):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         ctx = _field_from_args(args)
         reports = _dispatch(args, ctx)
     except (ValueError, ResourceLimitError) as exc:

@@ -23,8 +23,10 @@ RING_TABLE_CAP = 1 << 16
 # holds q-sized tables, so the bound keeps large fields from piling up.
 FIELD_CACHE_SIZE = 32
 
-# factor() memoises this many factorizations (least recently used dropped).
-FACTOR_CACHE_SIZE = 1 << 12
+# factor() memoises this many factorizations (least recently used dropped),
+# enough for the distinct inputs of one exhaustive decomposition sweep; the
+# per-polynomial Frobenius rows and divisor-pair histograms share the bound.
+FACTOR_CACHE_SIZE = 1 << 15
 
 # numpy bulk kernels (sieves, index maps) apply only up to these sizes.
 BULK_Q_CAP = 256

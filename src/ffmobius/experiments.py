@@ -42,7 +42,7 @@ from .characters import (
     rational_kloosterman_aggregate,
     residue_ring,
 )
-from .config import BULK_SIZE_CAP
+from .config import BULK_SIZE_CAP, FACTOR_CACHE_SIZE
 from .decomposition import decompose, verify_decomposition
 from .errors import DegenerateClassError, ResourceLimitError
 from .extension import embed_field, lift_poly
@@ -416,19 +416,24 @@ def vaughan_check(f: Poly, alpha: int, beta: int) -> bool:
         raise ValueError("f must be monic nonzero")
     if alpha < 0 or beta < 0 or max(alpha, beta) >= f.degree:
         raise ValueError("need 0 <= alpha, beta and max(alpha, beta) < deg f")
-    small = 0
-    large = 0
+    hist = _pair_histogram(f.ctx, f.coeffs)
+    small = sum(sum(row[:beta + 1]) for row in hist[:alpha + 1])
+    large = sum(sum(row[beta + 1:]) for row in hist[alpha + 1:])
+    return mobius(f) == -small + large
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _pair_histogram(ctx, coeffs) -> tuple[tuple[int, ...], ...]:
+    """H[deg g][deg h] = sum of mu(g) mu(h) over every pair gh | f, each pair
+    enumerated with mobius on both: one pass per f serves every (alpha, beta)."""
+    f = Poly._raw(ctx, coeffs)
+    n = f.degree
+    hist = [[0] * (n + 1) for _ in range(n + 1)]
     for D in divisors(f):
         for g in divisors(D):
             h = D // g
-            mg, mh = mobius(g), mobius(h)
-            if mg == 0 or mh == 0:
-                continue
-            if g.degree <= alpha and h.degree <= beta:
-                small += mg * mh
-            if g.degree > alpha and h.degree > beta:
-                large += mg * mh
-    return mobius(f) == -small + large
+            hist[g.degree][h.degree] += mobius(g) * mobius(h)
+    return tuple(tuple(row) for row in hist)
 
 
 def convolution_report(f: Poly) -> ExperimentReport:

@@ -7,7 +7,9 @@ seeded by (CZ_SEED, input encoding) on its first draw, so every
 factorization is reproducible and independent of call order; degree-1
 parts are split by root scan instead, which needs no randomness at all.
 Results are memoised in a bounded LRU (config.FACTOR_CACHE_SIZE), so the
-routes that ask about the same polynomial factor it once.
+routes that ask about the same polynomial factor it once; so is the
+squarefree and distinct-degree split they are built on, which is all that
+the Mobius oracle needs.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from .poly import (
     monics,
     poly_index,
 )
-from .poly import _deriv, _divmod, _gcd, _is_irreducible, _mod, _powmod, _trim  # tuple kernels
+from .poly import (  # tuple kernels
+    _deriv, _divmod, _frob, _frobenius, _gcd, _is_irreducible, _mod, _pow_qsum, _trim,
+)
 
 __all__ = [
     "Factorization",
     "factor",
+    "distinct_degree_split",
     "is_irreducible",
     "irreducibles",
     "rad",
@@ -109,13 +114,14 @@ def _ddf(f: Poly) -> list[tuple[Poly, int]]:
     """Distinct-degree split of a monic squarefree f: list of (product of
     all irreducible factors of degree d, d)."""
     ctx = f.ctx
-    q = ctx.q
     out = []
     fc = f.coeffs
     h = (0, 1)
     d = 1
+    rows = _frobenius(ctx, fc) if len(fc) > 2 else ()
     while len(fc) - 1 >= 2 * d:
-        h = _powmod(ctx, h, q, fc)  # T^(q^d) mod fc
+        # h = T^(q^d) mod fc; the rows of f serve because fc divides f
+        h = _frob(ctx, h, rows)
         diff = list(h)
         while len(diff) < 2:
             diff.append(0)
@@ -158,7 +164,6 @@ def _edf(f: Poly, d: int, draws) -> list[Poly]:
     if d == 1:
         return _split_linear(f)
     q = ctx.q
-    exponent = (q**d - 1) // 2 if q % 2 else None
     stack = [f]
     out = []
     while stack:
@@ -170,8 +175,8 @@ def _edf(f: Poly, d: int, draws) -> list[Poly]:
             r = Poly(g.ctx, [next(draws) for _ in range(g.degree)])
             if r.degree < 1:
                 continue
-            if q % 2:
-                s = r.powmod(exponent, g) - Poly.one(ctx)
+            if q % 2:  # r^((q^d - 1) / 2) - 1
+                s = Poly._raw(ctx, _pow_qsum(ctx, r.coeffs, (q - 1) // 2, d, g.coeffs)) - Poly.one(ctx)
             else:
                 # Characteristic 2: use the trace map sum r^(2^i).
                 s = Poly.zero(ctx)
@@ -207,13 +212,25 @@ def _factor(ctx, coeffs) -> Factorization:
     if fm.degree == 0:
         return Factorization(leading, ())
     draws = _draws(fm)
-    found: list[tuple[Poly, int]] = []
-    for part, mult in _squarefree_parts(fm).items():
-        for prod, d in _ddf(part):
-            for prime in _edf(prod, d, draws):
-                found.append((prime, mult))
+    found = [(prime, mult) for prod, d, mult in distinct_degree_split(fm) for prime in _edf(prod, d, draws)]
     found.sort(key=lambda pe: pe[0].sort_key())
     return Factorization(leading, tuple(found))
+
+
+def distinct_degree_split(f: Poly) -> tuple[tuple[Poly, int, int], ...]:
+    """(P, d, e) triples for monic f: P is the product of the irreducible
+    factors of degree d that divide f exactly e times, so f is the product
+    of the P^e and P has deg(P) / d prime factors.  No equal-degree
+    splitting runs.  Memoised like factor."""
+    if not f.is_monic:
+        raise ValueError("distinct-degree split needs a monic polynomial")
+    return _split(f.ctx, f.coeffs)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _split(ctx, coeffs):
+    parts = _squarefree_parts(Poly._raw(ctx, coeffs))
+    return tuple((prod, d, mult) for part, mult in parts.items() for prod, d in _ddf(part))
 
 
 def is_irreducible(f: Poly) -> bool:

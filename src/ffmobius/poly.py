@@ -11,7 +11,10 @@ module-private tuple kernels; Poly methods are thin wrappers over them.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
+
+from .config import FACTOR_CACHE_SIZE
 
 if TYPE_CHECKING:  # field builds its tables on these kernels
     from .field import FieldCtx
@@ -124,8 +127,9 @@ def _mul(ctx, a, b):
 
 def _mod(ctx, a, b, quo=None):
     """a mod b.  Given quo, a zero list of len(a) - len(b) + 1 entries, the
-    quotient coefficients are written into it.  The divisor body is negated
-    up front, so each step adds c * (-b_j)."""
+    quotient coefficients are written into it.  Mod p each step subtracts
+    c * b_j; over an extension field the divisor body is negated up front,
+    so each step adds c * (-b_j)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
@@ -135,11 +139,10 @@ def _mod(ctx, a, b, quo=None):
         return ()
     rem = list(a)
     inv_lead = ctx.inv_table[b[-1]]
-    neg = ctx.neg_table
-    body = [(j, neg[bj]) for j, bj in enumerate(b[:db]) if bj]
     shifts = range(len(a) - 1 - db, -1, -1)
     if ctx.k == 1:
         p = ctx.p
+        low = b[:db]
         for shift in shifts:
             c = rem[shift + db]
             if c:
@@ -147,10 +150,12 @@ def _mod(ctx, a, b, quo=None):
                     c = c * inv_lead % p
                 if quo is not None:
                     quo[shift] = c
-                for j, nbj in body:
-                    j += shift
-                    rem[j] = (rem[j] + c * nbj) % p
+                for j, bj in enumerate(low, shift):
+                    if bj:
+                        rem[j] = (rem[j] - c * bj) % p
         return _trim(rem[:db])
+    neg = ctx.neg_table
+    body = [(j, neg[bj]) for j, bj in enumerate(b[:db]) if bj]
     mt = ctx.mul_table
     if mt is not None:
         at, q = ctx.add_table, ctx.q
@@ -253,16 +258,93 @@ def _powmod(ctx, a, e, mod):
     return result
 
 
+# The Frobenius map h -> h^q mod f is F_q-linear, since c^q = c on GF(q):
+# with the rows T^(q*i) mod f for i < deg f, h^q mod f is the row
+# combination sum h_i * row_i, one pass over a deg f x deg f matrix in place
+# of the log q mulmods of _powmod (Berlekamp's Q-matrix; von zur Gathen &
+# Gerhard, Modern Computer Algebra, ch. 14).  Every q-power of the
+# factorization oracle runs on these.
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _frobenius(ctx, f):
+    """The rows R_i = T^(q*i) mod f, i < n = deg f, as a tuple.  R_i is
+    T^q * R_(i-1) mod f, built the cheaper way: shifting by q and reducing
+    costs about q*n coefficient operations a row, multiplying by R_1 = T^q
+    mod f about 2n^2 a row plus 4n^2 log2(q) once for R_1 itself."""
+    n = len(f) - 1
+    if n < 1:
+        return ()
+    q = ctx.q
+    row = (1,)
+    rows = [row]
+    if (q - 2 * n) * (n - 1) < 4 * n * q.bit_length():
+        shift = (0,) * q
+        for _ in range(1, n):
+            if row:
+                row = _mod(ctx, shift + row, f)
+            rows.append(row)
+    else:
+        r1 = _powmod(ctx, (0, 1), q, f)
+        for _ in range(1, n):
+            row = _mod(ctx, _mul(ctx, row, r1), f)
+            rows.append(row)
+    return tuple(rows)
+
+
+def _frob(ctx, h, rows):
+    """h^q mod f for h reduced mod f, given rows = _frobenius(ctx, f)."""
+    out = [0] * len(rows)
+    if ctx.k == 1:  # sum exactly, reduce once
+        for hi, row in zip(h, rows):
+            if hi:
+                for j, rj in enumerate(row):
+                    out[j] += hi * rj
+        p = ctx.p
+        return _trim([v % p for v in out])
+    mt = ctx.mul_table
+    if mt is not None:
+        at, q = ctx.add_table, ctx.q
+        for hi, row in zip(h, rows):
+            if hi:
+                base = hi * q
+                for j, rj in enumerate(row):
+                    if rj:
+                        out[j] = at[out[j] * q + mt[base + rj]]
+    else:
+        mul, add = ctx.mul, ctx.add
+        for hi, row in zip(h, rows):
+            if hi:
+                for j, rj in enumerate(row):
+                    if rj:
+                        out[j] = add(out[j], mul(hi, rj))
+    return _trim(out)
+
+
+def _pow_qsum(ctx, a, c, d, f):
+    """a^(c * (q^d - 1) / (q - 1)) mod f for d >= 1.  The exponent is
+    c * (1 + q + ... + q^(d-1)), so with b = a^c mod f Horner's rule
+    s <- s^q * b takes d - 1 Frobenius steps and products."""
+    b = _powmod(ctx, a, c, f)
+    s = b
+    if d > 1:
+        rows = _frobenius(ctx, f)
+        for _ in range(d - 1):
+            s = _mod(ctx, _mul(ctx, _frob(ctx, s, rows), b), f)
+    return s
+
+
 def _is_irreducible(ctx, f):
     """Degree-n f is irreducible iff it has no factor of degree <= n/2,
     detected through gcd(T^(q^j) - T, f) for j = 1..n//2."""
     n = len(f) - 1
-    if n < 1:
-        return False
+    if n < 2:
+        return n == 1
     t = (0, 1)
     h = t
+    rows = _frobenius(ctx, f)
     for _ in range(n // 2):
-        h = _powmod(ctx, h, ctx.q, f)
+        h = _frob(ctx, h, rows)
         if len(_gcd(ctx, f, _sub(ctx, h, t))) != 1:
             return False
     return True

@@ -85,9 +85,13 @@ def _affine_index(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int) -> np.n
         for i, Mi in cols:
             j = k - i
             if j == e:
-                digit = add2[digit, Mi]
+                x = Mi
             elif 0 <= j < e:
-                digit = add2[digit, mul2[Mi][g[j]] if single else mul2[Mi, g[j]]]
+                x = mul2[Mi][g[j]] if single else mul2[Mi, g[j]]
+            else:
+                continue
+            # a scalar digit gathers from its row view, not by a mixed index
+            digit = add2[digit, x] if isinstance(digit, np.ndarray) else add2[digit][x]
         terms.append(np.asarray(digit, dtype=np.int64) * q**k)
     # summed inwards from both ends, each partial sum spans one more axis
     # than the last, so only the final addition touches every entry

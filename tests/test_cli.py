@@ -36,10 +36,10 @@ def test_twin_example(capsys):
 def test_p_k_field_spelling_rejected(argv, capsys):
     """--q P^K is the one field spelling; --p is not read as a prefix of
     --pair either."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ffmobius: error: ") and err.count("\n") == 1
 
 
 def test_explicit_modulus(capsys):
@@ -119,9 +119,13 @@ def test_principal_char_rejected(capsys):
     (["twin", "--q", "3^", "--d", "3"], {}),
     (["twin", "--q", "^2", "--d", "3"], {}),
     (["twin", "--q", "3^x", "--d", "3"], {}),
+    (["twin", "--q", "3", "--d", "3", "--no-such-flag"], {}),
+    (["twin", "--q", "3", "--d", "x"], {}),
+    ([], {}),
 ], ids=["twin-a0", "table-cap-env", "past-table-cap", "char-idx", "char-selector",
         "no-degree", "no-field", "five-shifts", "reversed-d-range", "one-ended-d-range",
-        "q-no-degree", "q-no-prime", "q-bad-degree"])
+        "q-no-degree", "q-no-prime", "q-bad-degree", "unknown-flag", "non-integer-d",
+        "no-subcommand"])
 def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     """Bad input is a usage or domain error: exit 2, a single stderr line,
     no traceback and no report; exit 1 stays reserved for a failed bound."""

@@ -14,7 +14,7 @@ from ffmobius import (
     rad,
     rad1,
 )
-from ffmobius.factor import pth_root
+from ffmobius.factor import distinct_degree_split, pth_root
 
 
 def test_factor_examples(gf3):
@@ -92,18 +92,42 @@ def test_factor_memo_keeps_gf9_moduli_apart():
     assert differ > 0
 
 
-def test_factor_memo_is_bounded_by_its_constant(gf3):
+def test_factor_memo_is_bounded_by_its_constant():
     from ffmobius.config import FACTOR_CACHE_SIZE
 
     memo = _factor_module()._factor
     assert memo.cache_info().maxsize == FACTOR_CACHE_SIZE
     memo.cache_clear()
-    d = 1
-    while 3**d <= FACTOR_CACHE_SIZE:
-        d += 1
-    for f in monics(gf3, d):  # more distinct inputs than the memo holds
-        factor(f)
+    # the linear polynomials c1*T + c0 over GF(p): more distinct inputs than
+    # the memo holds, each factored without a distinct-degree step
+    p = 2
+    while p * (p - 1) <= FACTOR_CACHE_SIZE or any(p % x == 0 for x in range(2, p)):
+        p += 1
+    ctx = field_new(p)
+    for c1 in range(1, p):
+        for c0 in range(p):
+            factor(Poly(ctx, (c0, c1)))
     assert memo.cache_info().currsize == FACTOR_CACHE_SIZE
+
+
+def _by_degree_and_mult(ctx, triples):
+    out = {}
+    for P, d, e in triples:
+        out[(d, e)] = out.get((d, e), Poly.one(ctx)) * P
+    return out
+
+
+@pytest.mark.parametrize("ctxname,dmax", [("gf3", 6), ("gf9", 4), ("gf4", 4)])
+def test_distinct_degree_split_matches_factor(ctxname, dmax, request):
+    """Per (degree, multiplicity), the split's product is the product of the
+    primes factor finds, on every monic f; a non-monic f is refused."""
+    ctx = request.getfixturevalue(ctxname)
+    for n in range(dmax + 1):
+        for f in monics(ctx, n):
+            want = _by_degree_and_mult(ctx, ((P, P.degree, e) for P, e in factor(f).factors))
+            assert _by_degree_and_mult(ctx, distinct_degree_split(f)) == want
+    with pytest.raises(ValueError):
+        distinct_degree_split(Poly(ctx, [1, 2]))
 
 
 def test_squarefree_agrees_with_oracle_exhaustive(gf3):

@@ -3,7 +3,8 @@ against references written with the FieldCtx methods alone.
 
 The kernels take one of three paths: inline arithmetic mod p for prime
 fields, the flat pair tables for extension fields up to PAIR_TABLE_CAP, and
-the FieldCtx methods beyond it (GF(3^7) here).
+the FieldCtx methods beyond it (GF(3^7) here).  The Frobenius kernels
+(_frobenius, _frob, _pow_qsum) are checked against _powmod on the same set.
 """
 
 import random
@@ -11,13 +12,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffmobius import Poly, ResidueRing, field_new, parse_poly
+from ffmobius import Poly, ResidueRing, field_new, monics, parse_poly, polys_below
 from ffmobius.config import PAIR_TABLE_CAP, RING_TABLE_CAP
 from ffmobius.field import pair_tables
-from ffmobius.poly import _add, _divmod, _mod, _mul, _powmod, _sub, _trim
+from ffmobius.poly import _add, _divmod, _frob, _frobenius, _mod, _mul, _pow_qsum, _powmod, _sub, _trim
 
 FIELDS = {q: field_new(p, k) for q, (p, k) in {
-    3: (3, 1), 7: (7, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3), 2187: (3, 7),
+    2: (2, 1), 3: (3, 1), 5: (5, 1), 7: (7, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2),
+    27: (3, 3), 2187: (3, 7),
 }.items()}
 
 
@@ -110,6 +112,57 @@ def test_powmod_edge_cases(q):
     assert _powmod(ctx, (), 5, (0, 1, 1)) == ()
     for e in (0, 1, 7):  # a constant modulus: the zero ring
         assert _powmod(ctx, a, e, (2,)) == ()
+
+
+FROBENIUS_FIELDS = [2, 3, 4, 5, 9, 2187]
+EXHAUSTIVE_PAIRS = 1 << 14  # (f, h) pairs per degree checked one by one
+
+
+@pytest.mark.parametrize("q", FROBENIUS_FIELDS)
+def test_frob_matches_powmod_by_q(q):
+    """h^q mod f from the Frobenius rows of f equals _powmod(h, q, f): every
+    residue h mod every monic f of degree <= 3, or a seeded sample of 300
+    pairs where a degree has more than EXHAUSTIVE_PAIRS of them (GF(9)
+    degree 3, GF(2187) from degree 2)."""
+    ctx = FIELDS[q]
+    rng = random.Random(q)
+    for n in range(4):
+        if q ** (2 * n) <= EXHAUSTIVE_PAIRS:
+            pairs = [(f.coeffs, h.coeffs) for f in monics(ctx, n) for h in polys_below(ctx, n)]
+        else:
+            pairs = [(tuple(rng.randrange(q) for _ in range(n)) + (1,),
+                      _trim([rng.randrange(q) for _ in range(n)])) for _ in range(300)]
+        for f, h in pairs:
+            rows = _frobenius(ctx, f)
+            assert len(rows) == n
+            assert _frob(ctx, h, rows) == _powmod(ctx, h, q, f), (f, h)
+
+
+@pytest.mark.parametrize("q", FROBENIUS_FIELDS)
+def test_pow_qsum_matches_powmod(q):
+    """a^(c (q^d - 1) / (q - 1)) mod f by Frobenius steps equals _powmod with
+    the whole exponent, on seeded cases with d = 1..4 in turn and c = 1 every
+    third case; f of degree 0..5 with any leading coefficient, a unreduced."""
+    ctx = FIELDS[q]
+    rng = random.Random(100 + q)
+    for i in range(80):
+        n = rng.randrange(6)
+        f = tuple(rng.randrange(q) for _ in range(n)) + (rng.randrange(1, q),)
+        a = _trim([rng.randrange(q) for _ in range(rng.randrange(2 * n + 2))])
+        c = 1 if i % 3 == 0 else rng.randrange(q)
+        d = 1 + i % 4
+        assert _pow_qsum(ctx, a, c, d, f) == _powmod(ctx, a, c * (q**d - 1) // (q - 1), f), (a, c, d, f)
+
+
+def test_pow_qsum_euler_exponent_gf3():
+    """c = 1 over GF(3) is the norm-like exponent 1 + 3 + ... + 3^(d-1); with
+    c = (q - 1) / 2 = 1 it is also Euler's (3^d - 1) / 2, whose value on a
+    nonzero residue mod an irreducible P of degree d is +1 or -1."""
+    ctx = FIELDS[3]
+    P = (1, 2, 0, 1)  # T^3 + 2T + 1, irreducible over GF(3)
+    values = {_pow_qsum(ctx, h.coeffs, 1, 3, P) for h in polys_below(ctx, 3) if h.coeffs}
+    assert values == {(1,), (2,)}
+    assert _pow_qsum(ctx, (2, 1), 1, 1, P) == (2, 1)  # d = 1, c = 1: a itself
 
 
 def _check_products(ring, pairs):
