@@ -80,7 +80,7 @@ class _LocalLogs:
         return self._dlog
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def _local_logs(ctx, prime_coeffs) -> _LocalLogs:
     return _LocalLogs(Poly(ctx, prime_coeffs))
 

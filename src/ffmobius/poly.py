@@ -127,9 +127,10 @@ def _mul(ctx, a, b):
 
 def _mod(ctx, a, b, quo=None):
     """a mod b.  Given quo, a zero list of len(a) - len(b) + 1 entries, the
-    quotient coefficients are written into it.  Mod p each step subtracts
-    c * b_j; over an extension field the divisor body is negated up front,
-    so each step adds c * (-b_j)."""
+    quotient coefficients are written into it.  Each step removes c * b_j
+    from the remainder for every nonzero low coefficient b_j: mod p by
+    subtraction, over an extension field by adding (-c) * b_j, with c
+    negated once per step."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
@@ -140,9 +141,9 @@ def _mod(ctx, a, b, quo=None):
     rem = list(a)
     inv_lead = ctx.inv_table[b[-1]]
     shifts = range(len(a) - 1 - db, -1, -1)
+    low = b[:db]
     if ctx.k == 1:
         p = ctx.p
-        low = b[:db]
         for shift in shifts:
             c = rem[shift + db]
             if c:
@@ -155,7 +156,6 @@ def _mod(ctx, a, b, quo=None):
                         rem[j] = (rem[j] - c * bj) % p
         return _trim(rem[:db])
     neg = ctx.neg_table
-    body = [(j, neg[bj]) for j, bj in enumerate(b[:db]) if bj]
     mt = ctx.mul_table
     if mt is not None:
         at, q = ctx.add_table, ctx.q
@@ -166,10 +166,10 @@ def _mod(ctx, a, b, quo=None):
                     c = mt[c * q + inv_lead]
                 if quo is not None:
                     quo[shift] = c
-                row = c * q
-                for j, nbj in body:
-                    j += shift
-                    rem[j] = at[rem[j] * q + mt[row + nbj]]
+                row = neg[c] * q
+                for j, bj in enumerate(low, shift):
+                    if bj:
+                        rem[j] = at[rem[j] * q + mt[row + bj]]
     else:
         mul, add = ctx.mul, ctx.add
         for shift in shifts:
@@ -179,9 +179,10 @@ def _mod(ctx, a, b, quo=None):
                     c = mul(c, inv_lead)
                 if quo is not None:
                     quo[shift] = c
-                for j, nbj in body:
-                    j += shift
-                    rem[j] = add(rem[j], mul(c, nbj))
+                nc = neg[c]
+                for j, bj in enumerate(low, shift):
+                    if bj:
+                        rem[j] = add(rem[j], mul(nc, bj))
     return _trim(rem[:db])
 
 

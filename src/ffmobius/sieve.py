@@ -15,6 +15,9 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
   from it by table lookup.
 - progression_values is the one path every mu/Lambda sum over a
   progression takes: table gathers under the caps, one loop above them.
+  A shift a + g (M = 1, deg a < e) changes only the low digits of g, so
+  it is read through a small permutation of them with no index array;
+  other terms gather through an index map.
 
 The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
@@ -191,13 +194,35 @@ def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.n
     return d_out, _affine_index(ctx, a.coeffs, [M.coeffs], e, d_out)
 
 
+def _shifted(ctx: FieldCtx, values: np.ndarray, a: tuple) -> np.ndarray:
+    """values[index of a + g] for every monic g of degree e, in index order,
+    where values runs over the degree-e monics and len(a) = s <= e.
+
+    Adding a changes only the low s digits of g, the last axis of values
+    reshaped to (q^(e-s), q^s), so the read is one gather along that axis
+    by the q^s-entry permutation x -> index of a + x.  For a = 0 it is
+    values itself.
+    """
+    if not a:
+        return values
+    q = ctx.q
+    add2 = pair_tables(ctx)[0]
+    perm = np.zeros(1, dtype=np.intp)
+    for k, ak in enumerate(a):  # digit k of a + x is add2[a_k, x_k]
+        perm = (add2[ak][:, None] * q**k + perm).ravel()
+    return np.take(values.reshape(-1, perm.size), perm, axis=1).ravel()
+
+
 def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
     """prod_i F_i(a_i + g M_i) for every monic g of degree e, in index order.
 
     terms lists (kind, a, M) with kind "mu" or "lambda" and M monic; each
     a + g*M must be monic of one degree.  Within the caps every factor is
-    a gather from the sieve tables; above them one loop evaluates mobius
-    or von_mangoldt per polynomial, stopping at the first zero factor.
+    a gather from the sieve tables: a shift (M = 1, deg a < e) through the
+    low-digit permutation of _shifted, so a = 0 is the cached read-only
+    table itself, and any other term through affine_index_map.  Above the
+    caps one loop evaluates mobius or von_mangoldt per polynomial,
+    stopping at the first zero factor.
     """
     # looked up per call, so wrappers installed on the module attributes see these calls
     routes = {"mu": (mobius_table, mobius), "lambda": (lambda_table, von_mangoldt)}
@@ -218,8 +243,8 @@ def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
     # twin_count give |product| <= 24^2; even three stay below 2^15
     out = None
     for table, _, a, M in factors:
-        if a.is_zero and M.degree == 0:
-            vals = table(ctx, e)
+        if M.coeffs == (1,) and a.degree < e:
+            vals = _shifted(ctx, table(ctx, e), a.coeffs)
         else:
             deg, idx = affine_index_map(ctx, a, M, e)
             vals = table(ctx, deg)[idx]

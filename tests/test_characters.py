@@ -373,3 +373,21 @@ def test_real_characters_build_no_log_tables(gf9, monkeypatch):
     with pytest.raises(AssertionError, match="cyclic_group"):
         local_logs(T + Poly.one(gf9)).dlog
     characters._local_logs.cache_clear()
+
+
+def test_local_logs_hold_every_residue_field_of_a_gf9_sweep(gf9, monkeypatch):
+    """The GF(9) character-sum sweep to m = 3 visits 9 + 36 + 240 primes; a
+    second pass over them builds no residue field again."""
+    primes = [P for d in (1, 2, 3) for P in irreducibles(gf9, d)]
+    assert len(primes) == 285
+    calls = []
+    monkeypatch.setattr(characters, "cyclic_group", lambda *args: calls.append(args) or cyclic_group(*args))
+    characters._local_logs.cache_clear()
+    try:
+        for expected in (285, 0):
+            calls.clear()
+            for P in primes:
+                local_logs(P).dlog
+            assert len(calls) == expected
+    finally:
+        characters._local_logs.cache_clear()

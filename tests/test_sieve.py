@@ -117,6 +117,69 @@ def test_warm_progression_holds_one_index_array(gf3):
     assert peak < 12 * gf3.q**d
 
 
+def test_warm_progression_with_linear_moduli_holds_one_index_array(gf3):
+    """Two terms with deg M = 1 read through index maps, each dropped after its gather."""
+    e = 11
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    pairs = [(one, T), (T + Poly.constant(gf3, 2), T + one)]
+    expected = chowla_sum(gf3, e, pairs).value  # builds the tables
+    tracemalloc.start()
+    try:
+        value = chowla_sum(gf3, e, pairs).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 12 * gf3.q**e
+
+
+# every a of degree < e, a = 0 and the constants included
+@pytest.mark.parametrize("ctxname,emax", [("gf2", 4), ("gf3", 3), ("gf4", 3), ("gf9", 2)])
+def test_shift_read_matches_index_map(ctxname, emax, request):
+    ctx = request.getfixturevalue(ctxname)
+    one = Poly.one(ctx)
+    for e in range(emax + 1):
+        for i in range(ctx.q**e):
+            a = monic_from_index(ctx, e, i) - Poly.t(ctx) ** e  # the low digits of i
+            for kind, table in (("mu", mobius_table), ("lambda", lambda_table)):
+                got = progression_values(ctx, e, [(kind, a, one)])
+                expected = table(ctx, e)[affine_index_map(ctx, a, one, e)[1]]
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
+
+
+def test_warm_shift_terms_build_no_index_array(gf3, monkeypatch):
+    """Shifts with M = 1 are read through a permutation of the low digits."""
+    d = 12
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    pairs = [(one, one), (T + Poly.constant(gf3, 2), one)]
+    expected = chowla_sum(gf3, d, pairs).value  # builds the tables
+    calls = []
+    kernel = sieve._affine_index
+    monkeypatch.setattr(sieve, "_affine_index", lambda *args: calls.append(args) or kernel(*args))
+    tracemalloc.start()
+    try:
+        value = chowla_sum(gf3, d, pairs).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert calls == []
+    assert peak < 5 * gf3.q**d
+
+
+def test_shift_read_results(gf3):
+    """a = 0 hands out the read-only cached table; a shifted read is a new
+    array that a caller may write into."""
+    one = Poly.one(gf3)
+    assert progression_values(gf3, 4, [("mu", Poly.zero(gf3), one)]) is mobius_table(gf3, 4)
+    for a in (Poly.constant(gf3, 2), Poly.t(gf3) + one):
+        values = progression_values(gf3, 4, [("mu", a, one)])
+        assert values.flags.writeable
+        values[:] = 1
+        assert mobius_degree_sum(gf3, 4) == 0
+
+
 def _prime_powers(ctx, dp, j):
     return [(Poly(ctx, list(P)) ** j).coeffs for P in primes_of_degree(ctx, dp)]
 
