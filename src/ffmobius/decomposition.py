@@ -93,8 +93,12 @@ def derivative_class(ctx: FieldCtx, rprime: Poly, d: int):
     r = derivative_class_rep(ctx, rprime, d)
     p = ctx.p
     width = -(-d // p)  # ceil(d / p)
+    frob = [ctx.frobenius(c) for c in range(ctx.q)]
     for s in polys_below(ctx, width):
-        yield r + s**p
+        # s^p = sum frob(s_i) T^(p*i), since the p-th power map is additive
+        sp = [0] * (p * len(s.coeffs) - p + 1)
+        sp[::p] = [frob[c] for c in s.coeffs]
+        yield r + Poly._raw(ctx, tuple(sp))
 
 
 def decompose(a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionData:

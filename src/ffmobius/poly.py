@@ -357,8 +357,9 @@ def _pow(ctx, a, e):
     while e:
         if e & 1:
             result = _mul(ctx, result, base)
-        base = _mul(ctx, base, base)
         e >>= 1
+        if e:  # no square past the top bit
+            base = _mul(ctx, base, base)
     return result
 
 

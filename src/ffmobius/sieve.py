@@ -9,10 +9,11 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
   batch axis, so it is built there by broadcast gathers from the pair
   tables; the index is the sum of the digits times q^k.
 - _sieve is one Eratosthenes-style pass per degree: it marks the multiples
-  of every P^j with deg P <= d/2 in one packed int16 counter, the primes
-  of one degree together in batches of at most q^(d-1) entries, and
-  decodes the prime mask, the Mobius table and the von Mangoldt table
-  from it by table lookup.
+  of every P and P^2 with deg P <= d/2 in one packed int16 counter, the
+  primes of one degree together in batches of at most q^(d-1) entries.
+  The prime mask is where the counter is 0, the Mobius table a chunked
+  lookup of it, and the von Mangoldt table d on primes with deg P written
+  at each pure power P^(d/deg P).
 - progression_values is the one path every mu/Lambda sum over a
   progression takes: table gathers under the caps, one loop above them.
   A shift a + g (M = 1, deg a < e) changes only the low digits of g, so
@@ -35,7 +36,7 @@ from .arith import mobius, von_mangoldt
 from .config import BULK_Q_CAP, BULK_SIZE_CAP
 from .errors import ResourceLimitError
 from .field import FieldCtx, pair_tables
-from .poly import Poly, _digits, monics
+from .poly import Poly, _digits, _index, _pow, monics
 from .poly import _mul as _poly_mul
 
 __all__ = [
@@ -106,45 +107,56 @@ def _affine_index(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int) -> np.n
 def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(prime mask, mu as int8, Lambda as int16) over the monics of degree d.
 
-    One pass marks every multiple of P^j for each prime P of degree <= d/2.
-    The primes of one degree go through _affine_index in batches of
-    q^(d-1-deg P^j) moduli, so no batch has more than q^(d-1) entries (the
-    size of the multiples of one linear prime).  One int16 counter per f
-    packs, with b = d + 1,
+    One pass marks every multiple of P^j, j in {1, 2}, for each prime P of
+    degree <= d/2: the three tables need no higher power.  The primes of
+    one degree go through _affine_index in batches of q^(d-1-deg P^j)
+    moduli, so no batch has more than q^(d-1) entries (the size of the
+    multiples of one linear prime).  One int16 counter per f packs, with
+    b = d + 1,
 
         code = sdeg + b*omega + b^2*Omega
 
-    where sdeg is the degree the small primes account for, omega the number
-    of distinct ones dividing f and Omega that number with multiplicity: a
-    hit of P^j adds deg P + b^2, plus b when j = 1.  Moduli in one batch
-    share multiples, so the hits are scattered with np.add.at.  Whatever
-    degree is left over is one large prime factor, so the three tables are
-    gathers from lookup tables over the (d+1)^3 codes: f is prime when
-    sdeg = 0; mu(f) = 0 when Omega > omega, else the parity of the factor
-    count; Lambda(f) = d on primes, and d // Omega when one small P covers
-    the whole degree (f = P^Omega).  The tables are read-only.
+    where omega is the number of distinct small primes dividing f, and
+    sdeg and Omega count each of them once, or twice when its square
+    divides f: a hit of P^j adds deg P + b^2, plus b when j = 1.  Moduli
+    in one batch share multiples, so the hits are scattered with
+    np.add.at.  Whatever degree the small primes leave is one large prime
+    factor, so f is prime exactly when no small prime divides it, code = 0.
+    mu(f) = 0 when some P^2 divides f (Omega > omega), else the parity of
+    the factor count; it is gathered from a lookup table over the (d+1)^3
+    codes in fixed chunks, so no full-size index array is built.
+    Lambda(f) is d on primes, and deg P at the one index of each pure
+    power P^(d/deg P).  The tables are read-only.
     """
     _require(ctx, d)
     q, b = ctx.q, d + 1
     # every degree is at most 24 under BULK_SIZE_CAP, so code < 25^3 < 2^15
     code = np.zeros(q**d, dtype=np.int16)
+    pure = []  # (index, deg P) of each pure power P^(d/deg P)
     for dp in range(1, d // 2 + 1):
         primes = primes_of_degree(ctx, dp)
-        powers = [(1,)] * len(primes)
-        for j in range(1, d // dp + 1):
-            powers = [_poly_mul(ctx, w, pc) for w, pc in zip(powers, primes)]
+        squares = [_poly_mul(ctx, pc, pc) for pc in primes]
+        for j, powers in ((1, primes), (2, squares)):
             e = d - j * dp
             step = q ** (d - 1 - e)
             for s in range(0, len(powers), step):
                 idx = _affine_index(ctx, (), powers[s:s + step], e, d)
                 # an int16 scalar, not a Python int, keeps ufunc.at on its fast path
                 np.add.at(code, idx, np.int16(dp + b * b + (b if j == 1 else 0)))
+        if d % dp == 0:
+            pure += [(_index(q, _pow(ctx, pc, d // dp)[:d]), dp) for pc in primes]
+    prime = code == 0
+    lam = prime * np.int16(d)
+    for i, dp in pure:
+        lam[i] = dp
     c = np.arange(b**3)
     sdeg, omega, Omega = c % b, c // b % b, c // (b * b)
-    prime = sdeg == 0
-    mu = np.where(Omega > omega, 0, 1 - 2 * ((omega + (sdeg < d)) & 1)).astype(np.int8)
-    lam = np.where(prime, d, np.where((omega == 1) & (sdeg == d), d // np.maximum(Omega, 1), 0))
-    tables = prime[code], mu[code], lam.astype(np.int16)[code]
+    lut = np.where(Omega > omega, 0, 1 - 2 * ((omega + (sdeg < d)) & 1)).astype(np.int8)
+    mu = np.empty(code.size, dtype=np.int8)
+    chunk = 1 << 16
+    for s in range(0, code.size, chunk):
+        np.take(lut, code[s:s + chunk], out=mu[s:s + chunk])
+    tables = prime, mu, lam
     for t in tables:
         t.setflags(write=False)
     return tables

@@ -10,6 +10,7 @@ from ffmobius import (
     gcd,
     mobius_oracle,
     monics,
+    polys_below,
     principal_implies_square,
     verify_decomposition,
 )
@@ -42,6 +43,23 @@ def test_derivative_class_partitions_monics(gf3):
                 assert g.coeffs not in seen
                 seen.add(g.coeffs)
         assert len(seen) == 3**d
+
+
+# (field, derivative, class degree); coefficients low first
+@pytest.mark.parametrize("pk,rprime,d", [
+    ((3, 1), [1, 0, 0, 0, 0, 0, 1], 7),
+    ((5, 1), [2, 1, 0, 0, 0, 1], 6),
+    ((3, 2), [4, 0, 0, 1], 4),
+    ((5, 2), [7, 3, 0, 4, 0, 1], 6),
+], ids=["gf3", "gf5", "gf9", "gf25"])
+def test_derivative_class_is_rep_plus_pth_powers(pk, rprime, d):
+    """The class is r + s^p over s of degree < d/p, in the encoding order of s."""
+    ctx = field_new(*pk)
+    rprime = Poly(ctx, rprime)
+    r = derivative_class_rep(ctx, rprime, d)
+    expected = [r + s**ctx.p for s in polys_below(ctx, -(-d // ctx.p))]
+    assert len(expected) > ctx.q
+    assert [g.coeffs for g in derivative_class(ctx, rprime, d)] == [g.coeffs for g in expected]
 
 
 def test_derivative_class_rep_rejects_unattainable(gf3):

@@ -21,8 +21,9 @@ from ffmobius.sieve import lambda_table, mobius_table, prime_mask
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "sieve_tables.json")
 
 # (p, k, largest degree): the sweep's two fields up to their largest sweep
-# degree, and GF(2) and GF(4), where prime powers P^j with j >= 2 are common
-FIELDS = [(3, 1, 14), (3, 2, 7), (2, 1, 16), (2, 2, 8)]
+# degree; GF(2) and GF(4), where prime powers P^j with j >= 2 are common;
+# and GF(5) and GF(8), more fields with cubes and pure powers P^j, j >= 3
+FIELDS = [(3, 1, 14), (3, 2, 7), (2, 1, 16), (2, 2, 8), (5, 1, 8), (2, 3, 6)]
 
 TABLES = {"prime": prime_mask, "mu": mobius_table, "lambda": lambda_table}
 

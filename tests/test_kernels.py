@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ffmobius import Poly, ResidueRing, field_new, monics, parse_poly, polys_below
 from ffmobius.config import PAIR_TABLE_CAP, RING_TABLE_CAP
 from ffmobius.field import pair_tables
-from ffmobius.poly import _add, _divmod, _frob, _frobenius, _mod, _mul, _pow_qsum, _powmod, _sub, _trim
+from ffmobius.poly import _add, _divmod, _frob, _frobenius, _mod, _mul, _pow, _pow_qsum, _powmod, _sub, _trim
 
 FIELDS = {q: field_new(p, k) for q, (p, k) in {
     2: (2, 1), 3: (3, 1), 5: (5, 1), 7: (7, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2),
@@ -102,6 +102,16 @@ def test_powmod_matches_repeated_multiplication(args, e):
     for _ in range(e):
         want = ref_divmod(ctx, ref_mul(ctx, want, a), mod)[1]
     assert _powmod(ctx, a, e, mod) == want
+
+
+@given(operands(max_len=4), st.integers(0, 12))
+@settings(max_examples=200)
+def test_pow_matches_repeated_multiplication(args, e):
+    ctx, a, _ = args
+    want = (1,)
+    for _ in range(e):
+        want = ref_mul(ctx, want, a)
+    assert _pow(ctx, a, e) == want
 
 
 @pytest.mark.parametrize("q", [3, 9, 2187])

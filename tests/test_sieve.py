@@ -1,13 +1,14 @@
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ffmobius import Poly, field_new, mobius, sieve, von_mangoldt
+from ffmobius import Poly, field_new, mobius, mobius_oracle, sieve, von_mangoldt
 from ffmobius.errors import ResourceLimitError
 from ffmobius.experiments import chowla_sum
 from ffmobius.factor import is_irreducible
-from ffmobius.poly import monic_from_index
+from ffmobius.poly import monic_from_index, poly_index
 from ffmobius.sieve import (
     affine_index_map,
     bulk_available,
@@ -80,16 +81,62 @@ def test_cold_mobius_table_peak_is_small(gf3):
 
 
 def test_sieve_makes_one_kernel_call_per_batch(gf3, monkeypatch):
-    """GF(3) degree 14 needs 36 batches for its 1,101 prime powers."""
-    for dp in range(1, 8):
+    """GF(3) degree 14 marks its 508 primes of degree <= 7 and their squares
+    in 16 batches, and no higher power."""
+    d = 14
+    for dp in range(1, d // 2 + 1):
         primes_of_degree(gf3, dp)
     calls = []
     kernel = sieve._affine_index
     monkeypatch.setattr(sieve, "_affine_index", lambda *args: calls.append(args) or kernel(*args))
-    tables = sieve._sieve.__wrapped__(gf3, 14)  # uncached: leaves the table cache alone
-    assert len(calls) <= 40
+    tables = sieve._sieve.__wrapped__(gf3, d)  # uncached: leaves the table cache alone
+    assert len(calls) == 16
     assert all(len(Ms) * gf3.q**e <= gf3.q**13 for _, _, Ms, e, _ in calls)
+    # each batch holds the primes of one degree dp <= d/2, or their squares;
+    # together they hold each of those primes and squares exactly once
+    kinds = {P: (dp, j) for dp in range(1, d // 2 + 1) for j in (1, 2)
+             for P in _prime_powers(gf3, dp, j)}
+    marked = []
+    for _, _, Ms, e, _ in calls:
+        (dp, j), = {kinds[tuple(M)] for M in Ms}
+        assert d - e == j * dp
+        marked += [tuple(M) for M in Ms]
+    assert sorted(marked) == sorted(kinds)
+    assert len(marked) == 2 * 508
     assert int(tables[1].sum()) == 0  # the Mobius sum over a degree >= 2
+
+
+# (field, degree): the pure powers P^(d/deg P) of degree d, cubes and higher among them
+@pytest.mark.parametrize("ctxname,d", [("gf2", 12), ("gf2", 16), ("gf3", 9), ("gf3", 12), ("gf4", 8)])
+def test_pure_powers_and_cube_multiples(ctxname, d, request):
+    """Lambda(P^(d/deg P)) = deg P, and every multiple of a cube has mu = 0,
+    though the sieve marks no power above P^2."""
+    ctx = request.getfixturevalue(ctxname)
+    prime, mu, lam = prime_mask(ctx, d), mobius_table(ctx, d), lambda_table(ctx, d)
+
+    def at(f):
+        assert f.is_monic and f.degree == d
+        i = poly_index(f) - ctx.q**d  # the leading 1 is not part of a monic's index
+        return int(prime[i]), int(mu[i]), int(lam[i])
+
+    pure = 0
+    for dp in range(1, d // 2 + 1):
+        if d % dp == 0:
+            for P in primes_of_degree(ctx, dp):
+                f = Poly(ctx, list(P)) ** (d // dp)
+                assert at(f) == (False, 0, dp) == (False, mobius_oracle(f), von_mangoldt(f))
+                pure += 1
+    assert pure > 0
+    # no other composite reads a nonzero Lambda
+    assert np.count_nonzero(lam[~prime]) == pure
+    rng = random.Random(d * ctx.q)
+    for _ in range(40):
+        dp = rng.randint(1, d // 3)
+        P = Poly(ctx, list(rng.choice(primes_of_degree(ctx, dp))))
+        g = monic_from_index(ctx, d - 3 * dp, rng.randrange(ctx.q ** (d - 3 * dp)))
+        f = P**3 * g
+        assert at(f) == (False, 0, von_mangoldt(f))
+        assert mobius_oracle(f) == 0
 
 
 def test_sieve_tables_are_read_only(gf3):
