@@ -12,6 +12,7 @@ other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,6 +181,29 @@ def _irreducible_count(q: int, n: int) -> int:
     return total // n
 
 
+@functools.lru_cache(maxsize=256)
+def _euler_product(q: int, N: int, histogram: tuple[tuple[int, int], ...]) -> Fraction:
+    """The truncated Euler product of singular_series, which depends on the
+    shift only through histogram, the sorted (deg P, count) histogram of its
+    prime divisors of degree <= N.  Memoised: the reduced Fraction of a
+    large N costs one gcd of numbers of tens of thousands of bits."""
+    by_degree = dict(histogram)
+    num = 1
+    den = 1
+    for d in range(1, N + 1):
+        npow = q**d
+        dividing = by_degree.get(d, 0)
+        generic = _irreducible_count(q, d) - dividing
+        if dividing:
+            num *= npow**dividing
+            den *= (npow - 1) ** dividing
+        if generic:
+            base = (npow - 1) ** 2
+            num *= (base - 1) ** generic
+            den *= base**generic
+    return Fraction(num, den)
+
+
 def singular_series(a: Poly, N: int, method: str = "euler-product") -> SingularSeriesApprox:
     """Twin-pair singular series for shift a, truncated at degree N.
 
@@ -202,20 +226,7 @@ def singular_series(a: Poly, N: int, method: str = "euler-product") -> SingularS
         for prime, _ in factor(a).factors:
             if prime.degree <= N:
                 by_degree[prime.degree] = by_degree.get(prime.degree, 0) + 1
-        num = 1
-        den = 1
-        for d in range(1, N + 1):
-            npow = q**d
-            dividing = by_degree.get(d, 0)
-            generic = _irreducible_count(q, d) - dividing
-            if dividing:
-                num *= npow**dividing
-                den *= (npow - 1) ** dividing
-            if generic:
-                base = (npow - 1) ** 2
-                num *= (base - 1) ** generic
-                den *= base**generic
-        value = Fraction(num, den)
+        value = _euler_product(q, N, tuple(sorted(by_degree.items())))
     elif method == "coefficient-sum":
         total = Fraction(0)
         for k in range(1, N + 1):

@@ -11,7 +11,8 @@ magnitudes far below where it could matter.
 
 The mu/Lambda sums over progressions all take their values from
 sieve.progression_values, which gathers from the numpy sieve tables within
-the caps and loops over the monic polynomials above them.  Their `threads`
+the caps and loops over the monic polynomials above them; sums that need
+only the total call its exact sum, sieve.progression_sum.  Their `threads`
 keyword is accepted for existing callers and has no effect: the loop is
 pure Python, so threads cannot overlap.
 """
@@ -279,7 +280,7 @@ def chowla_sum(ctx: FieldCtx, d: int, pairs, threads: int = 1) -> ExperimentRepo
         if a.degree == d + M.degree:
             raise ValueError("degree collision deg a = d + deg M")
     _check_pairs_distinct(pairs)
-    value = int(sieve.progression_values(ctx, d, [("mu", a, M) for a, M in pairs]).sum())
+    value = sieve.progression_sum(ctx, d, [("mu", a, M) for a, M in pairs])
     reference = ctx.q**d
     return ExperimentReport(
         experiment="chowla",
@@ -300,7 +301,7 @@ def mobius_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, threads: int = 1) -> 
     m = M.degree
     if m < 1 or D < m:
         raise ValueError("need deg M >= 1 and D >= deg M")
-    value = int(sieve.progression_values(ctx, D - m, [("mu", a % M, M)]).sum())
+    value = sieve.progression_sum(ctx, D - m, [("mu", a % M, M)])
     reference = ctx.q ** (D - m)  # the trivial scale X / |M|
     return ExperimentReport(
         experiment="mobius-ap",
@@ -323,7 +324,7 @@ def lambda_ap_sum(ctx: FieldCtx, D: int, M: Poly, a: Poly, threads: int = 1) -> 
     m = M.degree
     if m < 1 or D < m:
         raise ValueError("need deg M >= 1 and D >= deg M")
-    value = int(sieve.progression_values(ctx, D - m, [("lambda", a % M, M)]).sum())
+    value = sieve.progression_sum(ctx, D - m, [("lambda", a % M, M)])
     phi = euler_phi(M)
     main = Fraction(ctx.q**D, phi)
     err = value - main
@@ -354,7 +355,7 @@ def mobius_lambda_corr(ctx: FieldCtx, d: int, a: Poly, M: Poly, pairs, threads: 
     if pairs:
         _check_pairs_distinct(pairs)
     terms = [("lambda", a, M)] + [("mu", ai, Mi) for ai, Mi in pairs]
-    value = int(sieve.progression_values(ctx, d, terms).sum())
+    value = sieve.progression_sum(ctx, d, terms)
     reference = ctx.q**d
     return ExperimentReport(
         experiment="mobius-lambda-corr",
@@ -378,7 +379,7 @@ def mobius_prime_power_ap(ctx: FieldCtx, D: int, P: Poly, n: int, threads: int =
     dP = P.degree
     if n * dP > D:
         raise ValueError("need n * deg P <= D")
-    value = int(sieve.progression_values(ctx, D - n * dP, [("mu", Poly.one(ctx), P**n)]).sum())
+    value = sieve.progression_sum(ctx, D - n * dP, [("mu", Poly.one(ctx), P**n)])
     reference = ctx.q ** (D - n * dP)
     return ExperimentReport(
         experiment="prime-power-ap",
@@ -490,8 +491,10 @@ def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, threads
     vals = sieve.progression_values(ctx, d, [("lambda", Poly.zero(ctx), one), ("lambda", a, one)])
     value = int(vals.sum())
     prime_pairs = int((vals == d * d).sum())  # Lambda(f) = d only for prime f
-    series = singular_series(a, N)
-    reference = series.value * ctx.q**d
+    series = singular_series(a, N).value
+    reference = series * ctx.q**d
+    # value / reference as one correctly rounded int division, no Fraction gcd
+    ratio = value * series.denominator / (series.numerator * ctx.q**d) if series else math.inf
     return ExperimentReport(
         experiment="twin",
         field=(ctx.p, ctx.k),
@@ -499,7 +502,7 @@ def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, threads
         value=value,
         value_exact=value,
         reference=reference,
-        ratio=float(Fraction(value) / reference) if reference else math.inf,
+        ratio=ratio,
         ok=None,
         details={"prime_pairs": prime_pairs},
     )

@@ -11,14 +11,16 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
 - _sieve is one Eratosthenes-style pass per degree: it marks the multiples
   of every P and P^2 with deg P <= d/2 in one packed int16 counter, the
   primes of one degree together in batches of at most q^(d-1) entries.
-  The prime mask is where the counter is 0, the Mobius table a chunked
-  lookup of it, and the von Mangoldt table d on primes with deg P written
-  at each pure power P^(d/deg P).
-- progression_values is the one path every mu/Lambda sum over a
+  It caches two int8 tables, 2 bytes per monic: Mobius, a chunked lookup
+  of the counter, and von Mangoldt, d where the counter is 0 (the primes)
+  with deg P written at each pure power P^(d/deg P).  The prime mask is
+  read off Lambda: Lambda = d only on primes.
+- progression_values is the one path every mu/Lambda product over a
   progression takes: table gathers under the caps, one loop above them.
   A shift a + g (M = 1, deg a < e) changes only the low digits of g, so
   it is read through a small permutation of them with no index array;
-  other terms gather through an index map.
+  other terms gather through an index map.  progression_sum is its exact
+  total, which reads one shift fewer when every term is a shift.
 
 The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
@@ -47,6 +49,7 @@ __all__ = [
     "lambda_table",
     "affine_index_map",
     "progression_values",
+    "progression_sum",
     "mobius_degree_sum",
     "lambda_degree_sum",
 ]
@@ -104,11 +107,11 @@ def _affine_index(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int) -> np.n
 
 
 @functools.cache
-def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(prime mask, mu as int8, Lambda as int16) over the monics of degree d.
+def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, Lambda), both int8, over the monics of degree d.
 
     One pass marks every multiple of P^j, j in {1, 2}, for each prime P of
-    degree <= d/2: the three tables need no higher power.  The primes of
+    degree <= d/2: the tables need no higher power.  The primes of
     one degree go through _affine_index in batches of q^(d-1-deg P^j)
     moduli, so no batch has more than q^(d-1) entries (the size of the
     multiples of one linear prime).  One int16 counter per f packs, with
@@ -125,8 +128,10 @@ def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu(f) = 0 when some P^2 divides f (Omega > omega), else the parity of
     the factor count; it is gathered from a lookup table over the (d+1)^3
     codes in fixed chunks, so no full-size index array is built.
-    Lambda(f) is d on primes, and deg P at the one index of each pure
-    power P^(d/deg P).  The tables are read-only.
+    Lambda(f) is d on primes, and deg P <= d/2 at the one index of each
+    pure power P^(d/deg P), so Lambda = d marks exactly the primes.  Every
+    degree is at most 24 under BULK_SIZE_CAP, so Lambda fits int8.  The
+    tables are read-only.
     """
     _require(ctx, d)
     q, b = ctx.q, d + 1
@@ -143,10 +148,10 @@ def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 idx = _affine_index(ctx, (), powers[s:s + step], e, d)
                 # an int16 scalar, not a Python int, keeps ufunc.at on its fast path
                 np.add.at(code, idx, np.int16(dp + b * b + (b if j == 1 else 0)))
+                del idx  # freed before the next batch builds its own
         if d % dp == 0:
             pure += [(_index(q, _pow(ctx, pc, d // dp)[:d]), dp) for pc in primes]
-    prime = code == 0
-    lam = prime * np.int16(d)
+    lam = (code == 0).view(np.int8) * np.int8(d)
     for i, dp in pure:
         lam[i] = dp
     c = np.arange(b**3)
@@ -156,17 +161,20 @@ def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     chunk = 1 << 16
     for s in range(0, code.size, chunk):
         np.take(lut, code[s:s + chunk], out=mu[s:s + chunk])
-    tables = prime, mu, lam
+    tables = mu, lam
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
 def prime_mask(ctx: FieldCtx, d: int) -> np.ndarray:
-    """Boolean mask over monics of degree d marking the irreducibles."""
+    """Read-only boolean mask over monics of degree d marking the
+    irreducibles: Lambda == d, computed on each call."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return _sieve(ctx, d)[0]
+    mask = _sieve(ctx, d)[1] == d
+    mask.setflags(write=False)
+    return mask
 
 
 @functools.cache
@@ -178,12 +186,12 @@ def primes_of_degree(ctx: FieldCtx, d: int) -> list[tuple[int, ...]]:
 
 def mobius_table(ctx: FieldCtx, d: int) -> np.ndarray:
     """mu over all monics of degree d, as int8."""
-    return _sieve(ctx, d)[1]
+    return _sieve(ctx, d)[0]
 
 
 def lambda_table(ctx: FieldCtx, d: int) -> np.ndarray:
-    """von Mangoldt over all monics of degree d, as int16."""
-    return _sieve(ctx, d)[2]
+    """von Mangoldt over all monics of degree d, as int8."""
+    return _sieve(ctx, d)[1]
 
 
 def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.ndarray]:
@@ -210,19 +218,38 @@ def _shifted(ctx: FieldCtx, values: np.ndarray, a: tuple) -> np.ndarray:
     """values[index of a + g] for every monic g of degree e, in index order,
     where values runs over the degree-e monics and len(a) = s <= e.
 
-    Adding a changes only the low s digits of g, the last axis of values
-    reshaped to (q^(e-s), q^s), so the read is one gather along that axis
-    by the q^s-entry permutation x -> index of a + x.  For a = 0 it is
-    values itself.
+    Adding a changes only the low s digits of g, digit by digit, so the
+    read gathers by the permutation x -> index of a + x of those digits.
+    It is applied in two stages of at most 2^16 entries each: the low s1
+    digits along the last axis of values reshaped to (-1, q^s1), then the
+    other s - s1 along axis -2 of a (-1, q^(s-s1), q^s1) view.  Under the
+    caps q^s <= 2^24 and q <= 2^8, so q^(s-s1) < 2^8 q <= 2^16 fits one stage.
+    For a = 0 it is values itself.
     """
     if not a:
         return values
     q = ctx.q
     add2 = pair_tables(ctx)[0]
-    perm = np.zeros(1, dtype=np.intp)
-    for k, ak in enumerate(a):  # digit k of a + x is add2[a_k, x_k]
-        perm = (add2[ak][:, None] * q**k + perm).ravel()
-    return np.take(values.reshape(-1, perm.size), perm, axis=1).ravel()
+
+    def perm(digits):  # digit k of a + x is add2[a_k, x_k]
+        out = np.zeros(1, dtype=np.intp)
+        for k, ak in enumerate(digits):
+            out = (add2[ak][:, None] * q**k + out).ravel()
+        return out
+
+    s1 = len(a)
+    while q**s1 > 1 << 16:
+        s1 -= 1
+    low = perm(a[:s1])
+    out = np.take(values.reshape(-1, low.size), low, axis=1)
+    if s1 < len(a):
+        high = perm(a[s1:])
+        out = np.take(out.reshape(-1, high.size, low.size), high, axis=1)
+    return out.ravel()
+
+
+def _is_shift(e: int, a: Poly, M: Poly) -> bool:
+    return M.coeffs == (1,) and a.degree < e
 
 
 def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
@@ -235,6 +262,13 @@ def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
     table itself, and any other term through affine_index_map.  Above the
     caps one loop evaluates mobius or von_mangoldt per polynomial,
     stopping at the first zero factor.
+
+    Within the caps the product is int8, like both tables: |mu| <= 1 and
+    Lambda <= 24, the largest degree under BULK_SIZE_CAP.  A second Lambda
+    factor widens it to int16 (twin_count's Lambda*Lambda reaches 24^2),
+    where a third still fits (24^3 < 2^15); a fourth widens it to int64.
+    A one-term product may be the cached table; otherwise the factors are
+    multiplied into an array this call owns, never into a cached table.
     """
     # looked up per call, so wrappers installed on the module attributes see these calls
     routes = {"mu": (mobius_table, mobius), "lambda": (lambda_table, von_mangoldt)}
@@ -250,26 +284,44 @@ def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
                     break
             out[i] = value
         return out
-    # products stay in the tables' int8/int16: under BULK_SIZE_CAP every
-    # degree is at most 24, so |mu| <= 1 and the two Lambda factors of
-    # twin_count give |product| <= 24^2; even three stay below 2^15
+    lambdas = sum(kind == "lambda" for kind, _, _ in terms)
+    dtype = np.int8 if lambdas < 2 else np.int16 if lambdas < 4 else np.int64
     out = None
     for table, _, a, M in factors:
-        if M.coeffs == (1,) and a.degree < e:
+        if _is_shift(e, a, M):
             vals = _shifted(ctx, table(ctx, e), a.coeffs)
         else:
             deg, idx = affine_index_map(ctx, a, M, e)
             vals = table(ctx, deg)[idx]
             del idx  # freed before the next term builds its own index array
-        out = vals if out is None else out * vals
+        if out is None:
+            out = vals
+            continue
+        if not out.flags.writeable or out.dtype != dtype:  # a cached table, or int8
+            out = out.astype(dtype)
+        np.multiply(out, vals, out=out)
     return out
+
+
+def progression_sum(ctx: FieldCtx, e: int, terms) -> int:
+    """Exact integer sum of progression_values(ctx, e, terms).
+
+    When every term is a shift a_i + g (M = 1, deg a_i < e), the sum runs
+    over x = g + a_1 instead, which meets every monic of degree e once:
+    the first table is then read as cached, last, and the others through
+    shifts by a_i - a_1, so a correlation of n shifts reads n - 1.
+    """
+    if all(_is_shift(e, a, M) for _, a, M in terms):
+        (kind, a1, one), rest = terms[0], terms[1:]
+        terms = [(k, a - a1, M) for k, a, M in rest] + [(kind, Poly.zero(ctx), one)]
+    return int(progression_values(ctx, e, terms).sum())
 
 
 def mobius_degree_sum(ctx: FieldCtx, d: int) -> int:
     """Exact sum of mu over all monics of degree d."""
-    return int(progression_values(ctx, d, [("mu", Poly.zero(ctx), Poly.one(ctx))]).sum())
+    return progression_sum(ctx, d, [("mu", Poly.zero(ctx), Poly.one(ctx))])
 
 
 def lambda_degree_sum(ctx: FieldCtx, d: int) -> int:
     """Exact sum of the von Mangoldt function over monics of degree d."""
-    return int(progression_values(ctx, d, [("lambda", Poly.zero(ctx), Poly.one(ctx))]).sum())
+    return progression_sum(ctx, d, [("lambda", Poly.zero(ctx), Poly.one(ctx))])

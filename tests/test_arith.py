@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffmobius import (
     Poly,
+    arith,
     euler_phi,
     field_new,
     gcd,
@@ -19,6 +20,7 @@ from ffmobius import (
     singular_series,
     von_mangoldt,
 )
+from ffmobius.factor import is_irreducible
 
 
 def test_mobius_values(gf3):
@@ -201,6 +203,48 @@ def test_singular_series_methods_converge(gf3):
         worst[N] = max(diffs)
     for N in range(2, 6):
         assert worst[N + 1] < worst[N]
+
+
+def _euler_product_per_prime(a, N):
+    """The truncated Euler product, one factor per monic irreducible P."""
+    value = Fraction(1)
+    for k in range(1, N + 1):
+        norm = a.ctx.q**k
+        for P in monics(a.ctx, k):
+            if is_irreducible(P):
+                if (a % P).is_zero:
+                    value *= Fraction(norm, norm - 1)
+                else:
+                    value *= 1 - Fraction(1, (norm - 1) ** 2)
+    return value
+
+
+def test_singular_series_memo_matches_fresh(gf3, gf9):
+    """The memoised Euler product equals a fresh one and a per-prime product,
+    and shifts whose prime divisors have the same degrees share one entry."""
+    for ctx in (gf3, gf9):
+        T, one = Poly.t(ctx), Poly.one(ctx)
+        shifts = [one, T, T + one, T**2 + one, T**2 * (T + one), T**3 + T + one]
+        for N in (1, 2, 3):
+            memo = [singular_series(a, N).value for a in shifts]
+            arith._euler_product.cache_clear()
+            assert [singular_series(a, N).value for a in shifts] == memo
+            assert memo == [_euler_product_per_prime(a, N) for a in shifts]
+    T, one = Poly.t(gf9), Poly.one(gf9)
+    arith._euler_product.cache_clear()
+    for a in (T, T + one, T + Poly.constant(gf9, 5)):  # one linear prime each
+        singular_series(a, 4)
+    assert arith._euler_product.cache_info().hits == 2
+
+
+def test_singular_series_coefficient_sum_unchanged(gf3, gf9):
+    """Coefficient-sum values, recorded before the Euler product was memoised."""
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    cases = [(one, 2, Fraction(3, 4)), (T, 2, Fraction(5, 4)),
+             (T * T + one, 3, Fraction(35, 52)), (T * (T + one), 3, Fraction(335, 208)),
+             (Poly.one(gf9), 2, Fraction(9, 10)), (Poly.t(gf9), 2, Fraction(41, 40))]
+    for a, N, value in cases:
+        assert singular_series(a, N, "coefficient-sum").value == value
 
 
 @given(st.integers(0, 3**4 - 1))

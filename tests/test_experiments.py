@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ffmobius import (
     monics,
     parse_poly,
     polys_below,
+    singular_series,
     von_mangoldt,
 )
 from ffmobius.experiments import (
@@ -365,6 +367,37 @@ def test_twin_count_loop_equals_bulk(gf3):
         pairs = sum(1 for f in monics(gf3, d) if is_irreducible(f) and is_irreducible(f + one))
         assert rep.details["prime_pairs"] == pairs
     assert pairs == 6
+
+
+def test_twin_count_gf2_degree12_widens_lambda_products(gf2):
+    """At d = 12 a prime pair gives Lambda*Lambda = 144, past int8.  The
+    shift T^2 + T keeps f(0) and f(1), so prime pairs exist."""
+    T = Poly.t(gf2)
+    a = T**2 + T
+    d = 12
+    rep = twin_count(gf2, d, a)
+    lam = [(von_mangoldt(f), von_mangoldt(f + a)) for f in monics(gf2, d)]
+    assert rep.value == sum(x * y for x, y in lam)
+    pairs = sum(1 for x, y in lam if x == y == d)
+    assert rep.details["prime_pairs"] == pairs > 0
+
+
+def test_twin_ratio_is_one_integer_division(gf9):
+    """value * den / (num * q^d) is the correctly rounded float of
+    Fraction(value) / reference, on seeded values and on twin reports."""
+    rng = random.Random(14)
+    one = Poly.one(gf9)
+    for N in (1, 4):
+        series = singular_series(one, N).value
+        for _ in range(300):
+            d = rng.randint(1, 12)
+            value = rng.randrange(-(10**rng.randint(1, 30)), 10**rng.randint(1, 30))
+            reference = series * gf9.q**d
+            got = value * series.denominator / (series.numerator * gf9.q**d)
+            assert got == float(Fraction(value) / reference)
+    for d in (2, 3, 4):
+        rep = twin_count(gf9, d, one, trunc=4)
+        assert rep.ratio == float(Fraction(rep.value) / rep.reference)
 
 
 # -- inverse additive -------------------------------------------------------

@@ -2,7 +2,9 @@
 
 tests/golden/sieve_tables.json records, for each field and degree of
 FIELDS, a SHA-256 of the dtype and bytes of prime_mask, mobius_table and
-lambda_table.  Regenerate it (only when a table encoding is meant to
+lambda_table, and, as lambda_values, a SHA-256 of the Lambda values widened
+to little-endian int64, which no change of the table's dtype moves.
+Regenerate it (only when a table encoding is meant to
 change) with
 
     PYTHONPATH=src python3 tests/test_golden_sieve.py
@@ -34,7 +36,9 @@ def _digest(table) -> str:
 
 def sieve_record(p, k, d) -> dict:
     ctx = field_new(p, k)
-    return {name: _digest(fn(ctx, d)) for name, fn in TABLES.items()}
+    record = {name: _digest(fn(ctx, d)) for name, fn in TABLES.items()}
+    record["lambda_values"] = hashlib.sha256(lambda_table(ctx, d).astype("<i8").tobytes()).hexdigest()
+    return record
 
 
 def golden() -> dict:

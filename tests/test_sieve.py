@@ -1,12 +1,13 @@
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ffmobius import Poly, field_new, mobius, mobius_oracle, sieve, von_mangoldt
+from ffmobius import Poly, field_new, mobius, mobius_oracle, monics, sieve, von_mangoldt
 from ffmobius.errors import ResourceLimitError
-from ffmobius.experiments import chowla_sum
+from ffmobius.experiments import chowla_sum, mobius_lambda_corr, twin_count
 from ffmobius.factor import is_irreducible
 from ffmobius.poly import monic_from_index, poly_index
 from ffmobius.sieve import (
@@ -18,6 +19,7 @@ from ffmobius.sieve import (
     mobius_table,
     prime_mask,
     primes_of_degree,
+    progression_sum,
     progression_values,
 )
 
@@ -103,7 +105,7 @@ def test_sieve_makes_one_kernel_call_per_batch(gf3, monkeypatch):
         marked += [tuple(M) for M in Ms]
     assert sorted(marked) == sorted(kinds)
     assert len(marked) == 2 * 508
-    assert int(tables[1].sum()) == 0  # the Mobius sum over a degree >= 2
+    assert int(tables[0].sum()) == 0  # the Mobius sum over a degree >= 2
 
 
 # (field, degree): the pure powers P^(d/deg P) of degree d, cubes and higher among them
@@ -212,7 +214,94 @@ def test_warm_shift_terms_build_no_index_array(gf3, monkeypatch):
         tracemalloc.stop()
     assert value == expected
     assert calls == []
-    assert peak < 5 * gf3.q**d
+    assert peak < 3 * gf3.q**d
+
+
+def test_two_stage_shift_read_peak(gf3):
+    """A shift of degree e - 1 permutes q^e entries, read in two stages of
+    at most 2^16: a warm two-Lambda read holds under 5 bytes per entry."""
+    e = 12
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    a = T**11 + one
+    terms = [("lambda", Poly.zero(gf3), one), ("lambda", a, one)]
+    lam = lambda_table(gf3, e)  # builds the tables
+    tracemalloc.start()
+    try:
+        got = progression_values(gf3, e, terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * gf3.q**e
+    assert np.array_equal(got, lam.astype(np.int16) * lam[affine_index_map(gf3, a, one, e)[1]])
+
+
+def test_cached_tables_are_two_int8_tables(gf3, gf9):
+    for ctx, d in ((gf3, 9), (gf9, 4)):
+        tables = sieve._sieve(ctx, d)
+        assert [t.dtype for t in tables] == [np.int8, np.int8]
+        assert sum(t.nbytes for t in tables) == 2 * ctx.q**d
+
+
+@pytest.mark.parametrize("ctxname,dmax", [("gf2", 12), ("gf3", 8), ("gf4", 6), ("gf9", 4)])
+def test_prime_mask_is_lambda_equal_degree(ctxname, dmax, request):
+    ctx = request.getfixturevalue(ctxname)
+    for d in range(1, dmax + 1):
+        mask = prime_mask(ctx, d)
+        assert mask.dtype == bool and not mask.flags.writeable
+        assert np.array_equal(mask, lambda_table(ctx, d) == d)
+
+
+def test_product_dtypes(gf3):
+    """Lambda*mu stays int8; a second Lambda factor widens to int16."""
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    zero = Poly.zero(gf3)
+    e = 5
+    cases = [([("lambda", zero, one), ("mu", T + one, one)], np.int8),
+             ([("mu", one, T), ("lambda", T, one)], np.int8),
+             ([("lambda", zero, one), ("lambda", T + one, one)], np.int16),
+             ([("lambda", one, T), ("lambda", T, one), ("mu", T**2, one)], np.int16)]
+    for terms, dtype in cases:
+        values = progression_values(gf3, e, terms)
+        assert values.dtype == dtype
+        expected = [math.prod((mobius if kind == "mu" else von_mangoldt)(a + g * M)
+                              for kind, a, M in terms) for g in monics(gf3, e)]
+        assert values.tolist() == expected
+
+
+def _random_poly(ctx, rng, degree):
+    """A random polynomial of degree < degree, zero included."""
+    return Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randint(0, degree))])
+
+
+# (field, e): GF(2) and GF(4) have many prime powers, GF(9) is an extension
+@pytest.mark.parametrize("ctxname,e", [("gf2", 9), ("gf3", 6), ("gf4", 4), ("gf9", 3)])
+def test_progression_sum_equals_values_sum(ctxname, e, request):
+    ctx = request.getfixturevalue(ctxname)
+    rng = random.Random(ctx.q * 100 + e)
+    T, one = Poly.t(ctx), Poly.one(ctx)
+    cases = [[("mu", one, one), ("mu", T**(e - 1) + one, one)],  # difference T^(e-1)
+             [("lambda", T**(e - 1), one), ("mu", Poly.zero(ctx), one)]]
+    for _ in range(12):  # seeded shift sets
+        cases.append([(rng.choice(("mu", "lambda")), _random_poly(ctx, rng, e), one)
+                      for _ in range(rng.randint(1, 3))])
+    for _ in range(6):  # shifts mixed with affine terms
+        M = T + Poly.constant(ctx, rng.randrange(ctx.q))
+        cases.append([("lambda", _random_poly(ctx, rng, e), one),
+                      ("mu", _random_poly(ctx, rng, e + 1), M)])
+    for terms in cases:
+        assert progression_sum(ctx, e, terms) == int(progression_values(ctx, e, terms).sum())
+
+
+def test_correlations_leave_cached_tables_unchanged(gf3):
+    d = 7
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    before = [t.copy() for t in sieve._sieve(gf3, d)]
+    chowla_sum(gf3, d, [(one, one), (T + one, one)])
+    mobius_lambda_corr(gf3, d, T, one, [(one, one)])
+    twin_count(gf3, d, one)
+    progression_values(gf3, d, [("mu", Poly.zero(gf3), one), ("mu", one, one)])
+    for t, b in zip(sieve._sieve(gf3, d), before):
+        assert np.array_equal(t, b)
 
 
 def test_shift_read_results(gf3):
