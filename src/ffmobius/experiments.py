@@ -10,11 +10,11 @@ complex unit roots fall back to floats, always with the 1e-9 tolerance and
 magnitudes far below where it could matter.
 
 The mu/Lambda sums over progressions all take their values from
-sieve.progression_values, which gathers from the numpy sieve tables within
-the caps and loops over the monic polynomials above them; sums that need
-only the total call its exact sum, sieve.progression_sum.  Their `threads`
-keyword is accepted for existing callers and has no effect: the loop is
-pure Python, so threads cannot overlap.
+sieve.progression_slabs, which gathers from the numpy sieve tables within
+the caps and loops over the monic polynomials above them, slab by slab;
+sums that need only the total call its exact sum, sieve.progression_sum.
+Their `threads` keyword is accepted for existing callers and has no
+effect: the loop is pure Python, so threads cannot overlap.
 """
 
 from __future__ import annotations
@@ -488,9 +488,10 @@ def twin_count(ctx: FieldCtx, d: int, a: Poly, trunc: int | None = None, threads
         raise ValueError("need 0 <= deg a < d and a nonzero")
     N = trunc if trunc is not None else d
     one = Poly.one(ctx)
-    vals = sieve.progression_values(ctx, d, [("lambda", Poly.zero(ctx), one), ("lambda", a, one)])
-    value = int(vals.sum())
-    prime_pairs = int((vals == d * d).sum())  # Lambda(f) = d only for prime f
+    value = prime_pairs = 0
+    for vals in sieve.progression_slabs(ctx, d, [("lambda", Poly.zero(ctx), one), ("lambda", a, one)]):
+        value += int(vals.sum())
+        prime_pairs += int(np.count_nonzero(vals == d * d))  # Lambda(f) = d only for prime f
     series = singular_series(a, N).value
     reference = series * ctx.q**d
     # value / reference as one correctly rounded int division, no Fraction gcd

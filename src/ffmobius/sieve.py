@@ -9,18 +9,24 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
   batch axis, so it is built there by broadcast gathers from the pair
   tables; the index is the sum of the digits times q^k.
 - _sieve is one Eratosthenes-style pass per degree: it marks the multiples
-  of every P and P^2 with deg P <= d/2 in one packed int16 counter, the
-  primes of one degree together in batches of at most q^(d-1) entries.
-  It caches two int8 tables, 2 bytes per monic: Mobius, a chunked lookup
+  of every P and P^2 with deg P <= d/2 in one packed int16 counter, slab
+  by slab.  It caches two int8 tables, 2 bytes per monic: Mobius, a lookup
   of the counter, and von Mangoldt, d where the counter is 0 (the primes)
   with deg P written at each pure power P^(d/deg P).  The prime mask is
   read off Lambda: Lambda = d only on primes.
-- progression_values is the one path every mu/Lambda product over a
-  progression takes: table gathers under the caps, one loop above them.
-  A shift a + g (M = 1, deg a < e) changes only the low digits of g, so
-  it is read through a small permutation of them with no index array;
-  other terms gather through an index map.  progression_sum is its exact
-  total, which reads one shift fewer when every term is a shift.
+- _index_slabs and _shift_slabs walk g in index order in slabs of at most
+  _SLAB entries: a group of whole moduli, or one modulus with the top t
+  digits of g fixed.  Those digits fold into the offset of the same
+  kernel, and for a shift a + g they pick which slab of the table to read,
+  while the low digits of a permute within it.
+- progression_slabs is the one path every mu/Lambda product over a
+  progression takes: table gathers under the caps, one loop above them,
+  slab by slab.  A shift a + g (M = 1, deg a < e) is read through a small
+  permutation of the low digits with no index array; other terms gather
+  through index slabs.  progression_values joins the slabs into one array
+  and progression_sum adds them up, reading one shift fewer when every
+  term is a shift.  Apart from the counter, the cached tables and the
+  array progression_values returns, no transient is larger than one slab.
 
 The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
@@ -38,7 +44,7 @@ from .arith import mobius, von_mangoldt
 from .config import BULK_Q_CAP, BULK_SIZE_CAP
 from .errors import ResourceLimitError
 from .field import FieldCtx, pair_tables
-from .poly import Poly, _digits, _index, _pow, monics
+from .poly import Poly, _add, _digits, _index, _pow, _sub, _trim, monics
 from .poly import _mul as _poly_mul
 
 __all__ = [
@@ -48,11 +54,17 @@ __all__ = [
     "mobius_table",
     "lambda_table",
     "affine_index_map",
+    "progression_slabs",
     "progression_values",
     "progression_sum",
     "mobius_degree_sum",
     "lambda_degree_sum",
 ]
+
+
+# Entries per slab: the bound on every index array, gather and product the
+# sieve and the progression sums build (2 MiB as int64).
+_SLAB = 1 << 18
 
 
 def bulk_available(ctx: FieldCtx, degree: int) -> bool:
@@ -86,8 +98,8 @@ def _affine_index(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int) -> np.n
         cols = [(i, c) for i, c in enumerate(Ms[0]) if c]
     else:  # coefficient i of every M, on the batch axis
         cols = [(i, c.reshape((-1,) + (1,) * e)) for i, c in enumerate(np.array(Ms).T) if c.any()]
-    terms = []
-    for k in range(d_out):
+
+    def term(k):  # digit k of the result times q^k
         digit = a[k] if k < len(a) else 0
         for i, Mi in cols:
             j = k - i
@@ -99,11 +111,48 @@ def _affine_index(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int) -> np.n
                 continue
             # a scalar digit gathers from its row view, not by a mixed index
             digit = add2[digit, x] if isinstance(digit, np.ndarray) else add2[digit][x]
-        terms.append(np.asarray(digit, dtype=np.int64) * q**k)
+        return np.asarray(digit, dtype=np.int64) * q**k
+
     # summed inwards from both ends, each partial sum spans one more axis
-    # than the last, so only the final addition touches every entry
+    # than the last, so only the final addition touches every entry; each
+    # term is built when it is added and dropped right after
     h = (e + len(Ms[0])) // 2
-    return np.ravel(sum(terms[:h]) + sum(reversed(terms[h:])))
+    return np.ravel(sum(map(term, range(h))) + sum(map(term, reversed(range(h, d_out)))))
+
+
+def _slab_split(q: int, e: int) -> tuple[int, int]:
+    """(t, n): a slab over the monic g of degree e fixes the top t digits of
+    g and runs over the other n = q^(e-t) <= _SLAB, in index order."""
+    t = 0
+    while t < e and q ** (e - t) > _SLAB:
+        t += 1
+    return t, q ** (e - t)
+
+
+def _index_slabs(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int):
+    """The index array of _affine_index(ctx, a, Ms, e, d_out), yielded in
+    order in slabs of at most _SLAB entries.
+
+    When q^e fits in a slab, a slab is a group of whole moduli.  Otherwise
+    it is one M with the top t digits of g fixed to those of a monic G of
+    degree t: g = T^(e-t) G + h with deg h < e - t, so
+
+        a + g*M = (a + T^(e-t) (G - 1) M) + (T^(e-t) + h) M,
+
+    the same kernel at degree e - t with the fixed digits in its offset.
+    """
+    q = ctx.q
+    t, n = _slab_split(q, e)
+    if t == 0:
+        step = _SLAB // n
+        for s in range(0, len(Ms), step):
+            yield _affine_index(ctx, a, Ms[s:s + step], e, d_out)
+        return
+    low = (0,) * (e - t)
+    for M in Ms:
+        for G in monics(ctx, t):
+            offset = _poly_mul(ctx, low + _sub(ctx, G.coeffs, (1,)), M)
+            yield _affine_index(ctx, _add(ctx, a, offset), [M], e - t, d_out)
 
 
 @functools.cache
@@ -111,27 +160,26 @@ def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(mu, Lambda), both int8, over the monics of degree d.
 
     One pass marks every multiple of P^j, j in {1, 2}, for each prime P of
-    degree <= d/2: the tables need no higher power.  The primes of
-    one degree go through _affine_index in batches of q^(d-1-deg P^j)
-    moduli, so no batch has more than q^(d-1) entries (the size of the
-    multiples of one linear prime).  One int16 counter per f packs, with
-    b = d + 1,
+    degree <= d/2: the tables need no higher power.  The multiples of the
+    primes of one degree, or of their squares, go through _index_slabs, so
+    no index array has more than _SLAB entries.  One int16 counter per f
+    packs, with b = d + 1,
 
         code = sdeg + b*omega + b^2*Omega
 
     where omega is the number of distinct small primes dividing f, and
     sdeg and Omega count each of them once, or twice when its square
     divides f: a hit of P^j adds deg P + b^2, plus b when j = 1.  Moduli
-    in one batch share multiples, so the hits are scattered with
+    in one slab share multiples, so the hits are scattered with
     np.add.at.  Whatever degree the small primes leave is one large prime
     factor, so f is prime exactly when no small prime divides it, code = 0.
     mu(f) = 0 when some P^2 divides f (Omega > omega), else the parity of
     the factor count; it is gathered from a lookup table over the (d+1)^3
-    codes in fixed chunks, so no full-size index array is built.
-    Lambda(f) is d on primes, and deg P <= d/2 at the one index of each
-    pure power P^(d/deg P), so Lambda = d marks exactly the primes.  Every
-    degree is at most 24 under BULK_SIZE_CAP, so Lambda fits int8.  The
-    tables are read-only.
+    codes.  Lambda(f) is d on primes, and deg P <= d/2 at the one index of
+    each pure power P^(d/deg P), so Lambda = d marks exactly the primes.
+    Both are decoded slab by slab, so the counter and the two tables are
+    the only full-size arrays.  Every degree is at most 24 under
+    BULK_SIZE_CAP, so Lambda fits int8.  The tables are read-only.
     """
     _require(ctx, d)
     q, b = ctx.q, d + 1
@@ -142,25 +190,23 @@ def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
         primes = primes_of_degree(ctx, dp)
         squares = [_poly_mul(ctx, pc, pc) for pc in primes]
         for j, powers in ((1, primes), (2, squares)):
-            e = d - j * dp
-            step = q ** (d - 1 - e)
-            for s in range(0, len(powers), step):
-                idx = _affine_index(ctx, (), powers[s:s + step], e, d)
-                # an int16 scalar, not a Python int, keeps ufunc.at on its fast path
-                np.add.at(code, idx, np.int16(dp + b * b + (b if j == 1 else 0)))
-                del idx  # freed before the next batch builds its own
+            # an int16 scalar, not a Python int, keeps ufunc.at on its fast path
+            hit = np.int16(dp + b * b + (b if j == 1 else 0))
+            for idx in _index_slabs(ctx, (), powers, d - j * dp, d):
+                np.add.at(code, idx, hit)
+                del idx  # freed before the next slab builds its own
         if d % dp == 0:
             pure += [(_index(q, _pow(ctx, pc, d // dp)[:d]), dp) for pc in primes]
-    lam = (code == 0).view(np.int8) * np.int8(d)
-    for i, dp in pure:
-        lam[i] = dp
     c = np.arange(b**3)
     sdeg, omega, Omega = c % b, c // b % b, c // (b * b)
     lut = np.where(Omega > omega, 0, 1 - 2 * ((omega + (sdeg < d)) & 1)).astype(np.int8)
-    mu = np.empty(code.size, dtype=np.int8)
-    chunk = 1 << 16
-    for s in range(0, code.size, chunk):
-        np.take(lut, code[s:s + chunk], out=mu[s:s + chunk])
+    mu, lam = np.empty(code.size, dtype=np.int8), np.empty(code.size, dtype=np.int8)
+    for s in range(0, code.size, _SLAB):
+        part = code[s:s + _SLAB]
+        np.take(lut, part, out=mu[s:s + _SLAB])
+        np.multiply(part == 0, np.int8(d), out=lam[s:s + _SLAB])
+    for i, dp in pure:
+        lam[i] = dp
     tables = mu, lam
     for t in tables:
         t.setflags(write=False)
@@ -194,12 +240,9 @@ def lambda_table(ctx: FieldCtx, d: int) -> np.ndarray:
     return _sieve(ctx, d)[1]
 
 
-def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.ndarray]:
-    """(degree, index array) of f = a + g*M over all monic g of degree e.
-
-    Requires deg(a) != e + deg(M) and a monic result, so every f is monic of
-    one fixed degree and indexes directly into the degree tables.
-    """
+def _affine_degree(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> int:
+    """Degree of every a + g*M over the monic g of degree e, after checking
+    that each is monic of that one degree and within the caps."""
     _require(ctx, e)
     if not M.is_monic:
         raise ValueError("M must be monic")
@@ -211,100 +254,135 @@ def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.n
     if da > e + m and a.lc != 1:
         raise ValueError("a must be monic when it dominates the degree")
     _require(ctx, d_out)
+    return d_out
+
+
+def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.ndarray]:
+    """(degree, index array) of f = a + g*M over all monic g of degree e.
+
+    Requires deg(a) != e + deg(M) and a monic result, so every f is monic of
+    one fixed degree and indexes directly into the degree tables.
+    """
+    d_out = _affine_degree(ctx, a, M, e)
     return d_out, _affine_index(ctx, a.coeffs, [M.coeffs], e, d_out)
 
 
-def _shifted(ctx: FieldCtx, values: np.ndarray, a: tuple) -> np.ndarray:
-    """values[index of a + g] for every monic g of degree e, in index order,
-    where values runs over the degree-e monics and len(a) = s <= e.
-
-    Adding a changes only the low s digits of g, digit by digit, so the
-    read gathers by the permutation x -> index of a + x of those digits.
-    It is applied in two stages of at most 2^16 entries each: the low s1
-    digits along the last axis of values reshaped to (-1, q^s1), then the
-    other s - s1 along axis -2 of a (-1, q^(s-s1), q^s1) view.  Under the
-    caps q^s <= 2^24 and q <= 2^8, so q^(s-s1) < 2^8 q <= 2^16 fits one stage.
-    For a = 0 it is values itself.
-    """
-    if not a:
-        return values
+def _digit_perm(ctx: FieldCtx, a: tuple) -> np.ndarray:
+    """x -> index of a + x over the q^len(a) digit vectors x: digit k of
+    a + x is add2[a_k, x_k]."""
     q = ctx.q
     add2 = pair_tables(ctx)[0]
+    out = np.zeros(1, dtype=np.intp)
+    for k, ak in enumerate(a):
+        out = (add2[ak][:, None] * q**k + out).ravel()
+    return out
 
-    def perm(digits):  # digit k of a + x is add2[a_k, x_k]
-        out = np.zeros(1, dtype=np.intp)
-        for k, ak in enumerate(digits):
-            out = (add2[ak][:, None] * q**k + out).ravel()
-        return out
 
-    s1 = len(a)
-    while q**s1 > 1 << 16:
-        s1 -= 1
-    low = perm(a[:s1])
-    out = np.take(values.reshape(-1, low.size), low, axis=1)
-    if s1 < len(a):
-        high = perm(a[s1:])
-        out = np.take(out.reshape(-1, high.size, low.size), high, axis=1)
-    return out.ravel()
+def _shift_slabs(ctx: FieldCtx, values: np.ndarray, a: tuple, e: int):
+    """values[index of a + g] for every monic g of degree e, yielded in the
+    slabs of _slab_split(q, e), where values runs over the degree-e monics
+    and len(a) <= e.
+
+    a + g adds digit-wise.  A slab fixes the top t digits of g, so the top
+    digits of a + g are fixed too: they pick the one slab of values to
+    read.  The low digits of a permute within it, x -> index of a + x,
+    along the last axis of the slab reshaped to (-1, q^s), s the number of
+    low digits up to the last nonzero one; the permutation has at most
+    q^(e-t) <= _SLAB entries.  Where a has no nonzero low digit the slab is
+    a read-only view of values, and for a = 0 in one slab values itself.
+    """
+    t, n = _slab_split(ctx.q, e)
+    a = tuple(a) + (0,) * (e - len(a))
+    low = _trim(list(a[:e - t]))
+    perm = _digit_perm(ctx, low) if low else None
+    for s in (_digit_perm(ctx, a[e - t:]) * n).tolist() if t else [0]:
+        slab = values[s:s + n] if t else values
+        yield slab if perm is None else np.take(slab.reshape(-1, perm.size), perm, axis=1).ravel()
 
 
 def _is_shift(e: int, a: Poly, M: Poly) -> bool:
     return M.coeffs == (1,) and a.degree < e
 
 
-def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
-    """prod_i F_i(a_i + g M_i) for every monic g of degree e, in index order.
+def _term_slabs(ctx: FieldCtx, e: int, table, a: Poly, M: Poly):
+    """F(a + g*M) over the monic g of degree e in the slabs of
+    _slab_split(q, e), for the sieve table F: a shift through _shift_slabs,
+    any other term through _index_slabs."""
+    if _is_shift(e, a, M):
+        return _shift_slabs(ctx, table(ctx, e), a.coeffs, e)
+    deg = _affine_degree(ctx, a, M, e)
+    values = table(ctx, deg)
+    # map holds no index slab once it is gathered, so the next term builds its own alone
+    return map(values.__getitem__, _index_slabs(ctx, a.coeffs, [M.coeffs], e, deg))
+
+
+def progression_slabs(ctx: FieldCtx, e: int, terms):
+    """prod_i F_i(a_i + g M_i) over the monic g of degree e, yielded in
+    slabs of at most _SLAB entries that run through g in index order.
 
     terms lists (kind, a, M) with kind "mu" or "lambda" and M monic; each
     a + g*M must be monic of one degree.  Within the caps every factor is
-    a gather from the sieve tables: a shift (M = 1, deg a < e) through the
-    low-digit permutation of _shifted, so a = 0 is the cached read-only
-    table itself, and any other term through affine_index_map.  Above the
-    caps one loop evaluates mobius or von_mangoldt per polynomial,
-    stopping at the first zero factor.
+    read slab by slab from the sieve tables: a shift (M = 1, deg a < e)
+    through the low-digit permutation of _shift_slabs, any other term
+    through the index slabs of _index_slabs.  Above the caps one loop
+    evaluates mobius or von_mangoldt per polynomial, stopping at the first
+    zero factor, and yields int64 slabs.
 
     Within the caps the product is int8, like both tables: |mu| <= 1 and
     Lambda <= 24, the largest degree under BULK_SIZE_CAP.  A second Lambda
     factor widens it to int16 (twin_count's Lambda*Lambda reaches 24^2),
     where a third still fits (24^3 < 2^15); a fourth widens it to int64.
-    A one-term product may be the cached table; otherwise the factors are
-    multiplied into an array this call owns, never into a cached table.
+    A one-term slab may be a read-only view of a cached table; otherwise
+    the factors are multiplied into a slab this call owns, never into a
+    cached table.
     """
     # looked up per call, so wrappers installed on the module attributes see these calls
     routes = {"mu": (mobius_table, mobius), "lambda": (lambda_table, von_mangoldt)}
     factors = [(*routes[kind], a, M) for kind, a, M in terms]
     if not (bulk_available(ctx, e) and all(
             bulk_available(ctx, max(a.degree, e + M.degree)) for _, a, M in terms)):
-        out = np.zeros(ctx.q**e, dtype=np.int64)
-        for i, g in enumerate(monics(ctx, e)):
-            value = 1
-            for _, fn, a, M in factors:
-                value *= fn(a + g * M)
-                if value == 0:
-                    break
-            out[i] = value
-        return out
+        gs = monics(ctx, e)
+        for s in range(0, ctx.q**e, _SLAB):
+            out = np.zeros(min(_SLAB, ctx.q**e - s), dtype=np.int64)
+            for i, g in zip(range(out.size), gs):
+                value = 1
+                for _, fn, a, M in factors:
+                    value *= fn(a + g * M)
+                    if value == 0:
+                        break
+                out[i] = value
+            yield out
+        return
     lambdas = sum(kind == "lambda" for kind, _, _ in terms)
     dtype = np.int8 if lambdas < 2 else np.int16 if lambdas < 4 else np.int64
-    out = None
-    for table, _, a, M in factors:
-        if _is_shift(e, a, M):
-            vals = _shifted(ctx, table(ctx, e), a.coeffs)
-        else:
-            deg, idx = affine_index_map(ctx, a, M, e)
-            vals = table(ctx, deg)[idx]
-            del idx  # freed before the next term builds its own index array
-        if out is None:
-            out = vals
-            continue
-        if not out.flags.writeable or out.dtype != dtype:  # a cached table, or int8
-            out = out.astype(dtype)
-        np.multiply(out, vals, out=out)
+    reads = [_term_slabs(ctx, e, table, a, M) for table, _, a, M in factors]
+    for first, *rest in zip(*reads, strict=True):  # every term walks the same slabs
+        out = first
+        for vals in rest:
+            if not out.flags.writeable or out.dtype != dtype:  # a cached table, or int8
+                out = out.astype(dtype)
+            np.multiply(out, vals, out=out)
+        yield out
+
+
+def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
+    """prod_i F_i(a_i + g M_i) for every monic g of degree e, in index order:
+    the slabs of progression_slabs joined into one array.  A product that
+    fits one slab is that slab, so a one-term product may be the cached
+    read-only table itself."""
+    n, s = ctx.q**e, 0
+    for vals in progression_slabs(ctx, e, terms):
+        if vals.size == n:
+            return vals
+        if s == 0:
+            out = np.empty(n, dtype=vals.dtype)
+        out[s:s + vals.size] = vals
+        s += vals.size
     return out
 
 
 def progression_sum(ctx: FieldCtx, e: int, terms) -> int:
-    """Exact integer sum of progression_values(ctx, e, terms).
+    """Exact integer sum of progression_values(ctx, e, terms), slab by slab.
 
     When every term is a shift a_i + g (M = 1, deg a_i < e), the sum runs
     over x = g + a_1 instead, which meets every monic of degree e once:
@@ -314,7 +392,7 @@ def progression_sum(ctx: FieldCtx, e: int, terms) -> int:
     if all(_is_shift(e, a, M) for _, a, M in terms):
         (kind, a1, one), rest = terms[0], terms[1:]
         terms = [(k, a - a1, M) for k, a, M in rest] + [(kind, Poly.zero(ctx), one)]
-    return int(progression_values(ctx, e, terms).sum())
+    return sum(int(vals.sum()) for vals in progression_slabs(ctx, e, terms))
 
 
 def mobius_degree_sum(ctx: FieldCtx, d: int) -> int:

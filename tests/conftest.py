@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ffmobius import field_new
@@ -36,3 +38,13 @@ def gf9():
 @pytest.fixture(scope="session")
 def gf25():
     return field_new(5, 2)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

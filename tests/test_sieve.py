@@ -1,6 +1,6 @@
+import hashlib
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +19,12 @@ from ffmobius.sieve import (
     mobius_table,
     prime_mask,
     primes_of_degree,
+    progression_slabs,
     progression_sum,
     progression_values,
 )
+
+from conftest import traced_peak
 
 
 # GF(2) and GF(4) have many prime powers P^n with n >= 2 among small degrees
@@ -73,38 +76,43 @@ def test_cold_mobius_table_peak_is_small(gf3):
     for dp in range(1, d // 2 + 1):
         primes_of_degree(gf3, dp)
     sieve._sieve.cache_clear()
-    tracemalloc.start()
-    try:
-        mobius_table(gf3, d)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: mobius_table(gf3, d))
     assert peak < 16 * gf3.q**d
 
 
 def test_sieve_makes_one_kernel_call_per_batch(gf3, monkeypatch):
-    """GF(3) degree 14 marks its 508 primes of degree <= 7 and their squares
-    in 16 batches, and no higher power."""
+    """GF(3) degree 14 marks its 508 primes of degree <= 7 and their squares,
+    and no higher power, in slabs of at most _SLAB entries, one kernel call
+    each: the slabs of each prime power cover its multiples exactly once."""
     d = 14
     for dp in range(1, d // 2 + 1):
         primes_of_degree(gf3, dp)
-    calls = []
-    kernel = sieve._affine_index
-    monkeypatch.setattr(sieve, "_affine_index", lambda *args: calls.append(args) or kernel(*args))
-    tables = sieve._sieve.__wrapped__(gf3, d)  # uncached: leaves the table cache alone
-    assert len(calls) == 16
-    assert all(len(Ms) * gf3.q**e <= gf3.q**13 for _, _, Ms, e, _ in calls)
-    # each batch holds the primes of one degree dp <= d/2, or their squares;
-    # together they hold each of those primes and squares exactly once
     kinds = {P: (dp, j) for dp in range(1, d // 2 + 1) for j in (1, 2)
              for P in _prime_powers(gf3, dp, j)}
-    marked = []
-    for _, _, Ms, e, _ in calls:
+    digests = {P: hashlib.sha256() for P in kinds}
+    sizes = []
+    kernel = sieve._affine_index
+
+    def traced(ctx, a, Ms, e, d_out):
+        idx = kernel(ctx, a, Ms, e, d_out)
+        sizes.append(idx.size)
+        # each batch holds the primes of one degree dp <= d/2, or their squares
         (dp, j), = {kinds[tuple(M)] for M in Ms}
-        assert d - e == j * dp
-        marked += [tuple(M) for M in Ms]
-    assert sorted(marked) == sorted(kinds)
-    assert len(marked) == 2 * 508
+        assert d_out == d and e <= d - j * dp
+        for M, block in zip(Ms, np.split(idx, len(Ms))):
+            digests[tuple(M)].update(block.tobytes())
+        return idx
+
+    monkeypatch.setattr(sieve, "_affine_index", traced)
+    tables = sieve._sieve.__wrapped__(gf3, d)  # uncached: leaves the table cache alone
+    monkeypatch.undo()
+    assert max(sizes) <= sieve._SLAB
+    assert sum(sizes) == sum(gf3.q ** (d - j * dp) for dp, j in kinds.values())
+    # together the slabs of each prime power are its multiples, in index order
+    assert len(kinds) == 2 * 508
+    for P, (dp, j) in kinds.items():
+        direct = affine_index_map(gf3, Poly.zero(gf3), Poly(gf3, list(P)), d - j * dp)[1]
+        assert digests[P].digest() == hashlib.sha256(direct.tobytes()).digest()
     assert int(tables[0].sum()) == 0  # the Mobius sum over a degree >= 2
 
 
@@ -156,12 +164,7 @@ def test_warm_progression_holds_one_index_array(gf3):
     T, one = Poly.t(gf3), Poly.one(gf3)
     pairs = [(one, one), (T + Poly.constant(gf3, 2), one)]
     expected = chowla_sum(gf3, d, pairs).value  # builds the tables
-    tracemalloc.start()
-    try:
-        value = chowla_sum(gf3, d, pairs).value
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(lambda: chowla_sum(gf3, d, pairs).value)
     assert value == expected
     assert peak < 12 * gf3.q**d
 
@@ -172,12 +175,7 @@ def test_warm_progression_with_linear_moduli_holds_one_index_array(gf3):
     T, one = Poly.t(gf3), Poly.one(gf3)
     pairs = [(one, T), (T + Poly.constant(gf3, 2), T + one)]
     expected = chowla_sum(gf3, e, pairs).value  # builds the tables
-    tracemalloc.start()
-    try:
-        value = chowla_sum(gf3, e, pairs).value
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(lambda: chowla_sum(gf3, e, pairs).value)
     assert value == expected
     assert peak < 12 * gf3.q**e
 
@@ -206,31 +204,22 @@ def test_warm_shift_terms_build_no_index_array(gf3, monkeypatch):
     calls = []
     kernel = sieve._affine_index
     monkeypatch.setattr(sieve, "_affine_index", lambda *args: calls.append(args) or kernel(*args))
-    tracemalloc.start()
-    try:
-        value = chowla_sum(gf3, d, pairs).value
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(lambda: chowla_sum(gf3, d, pairs).value)
     assert value == expected
     assert calls == []
     assert peak < 3 * gf3.q**d
 
 
 def test_two_stage_shift_read_peak(gf3):
-    """A shift of degree e - 1 permutes q^e entries, read in two stages of
-    at most 2^16: a warm two-Lambda read holds under 5 bytes per entry."""
+    """A shift of degree e - 1 crosses slab digits: its top digit picks the
+    table slab to read and its low digits permute within it, so a warm
+    two-Lambda read holds under 5 bytes per entry."""
     e = 12
     T, one = Poly.t(gf3), Poly.one(gf3)
     a = T**11 + one
     terms = [("lambda", Poly.zero(gf3), one), ("lambda", a, one)]
     lam = lambda_table(gf3, e)  # builds the tables
-    tracemalloc.start()
-    try:
-        got = progression_values(gf3, e, terms)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: progression_values(gf3, e, terms))
     assert peak < 5 * gf3.q**e
     assert np.array_equal(got, lam.astype(np.int16) * lam[affine_index_map(gf3, a, one, e)[1]])
 
@@ -314,6 +303,114 @@ def test_shift_read_results(gf3):
         assert values.flags.writeable
         values[:] = 1
         assert mobius_degree_sum(gf3, 4) == 0
+
+
+def test_cold_sieve_peak_gf3_degree13(gf3):
+    """The counter and the two tables take 4 bytes per monic; marking and
+    decoding add only slab-sized transients, so a cold degree-13 build
+    holds under 6.5 bytes per monic at its peak."""
+    d = 13
+    for dp in range(1, d // 2 + 1):
+        primes_of_degree(gf3, dp)
+    sieve._sieve.cache_clear()
+    _, peak = traced_peak(lambda: mobius_table(gf3, d))
+    assert peak < 6.5 * gf3.q**d
+
+
+def test_warm_twin_count_peak_gf3_degree12(gf3):
+    """twin_count sums its int16 Lambda*Lambda product slab by slab; one
+    full-size product and its int8 gather alone would take 3 bytes per
+    monic, and the warm call holds under 2.5."""
+    d, a = 12, Poly.one(gf3)
+    expected = twin_count(gf3, d, a, trunc=2)  # builds the tables
+    report, peak = traced_peak(lambda: twin_count(gf3, d, a, trunc=2))
+    assert (report.value, report.details) == (expected.value, expected.details)
+    assert peak < 2.5 * gf3.q**d
+
+
+def _direct(ctx, e, terms):
+    """The product read through affine_index_map, one whole index array per
+    term, in int64: the unslabbed reference."""
+    out = np.ones(ctx.q**e, dtype=np.int64)
+    for kind, a, M in terms:
+        deg, idx = affine_index_map(ctx, a, M, e)
+        out *= (mobius_table if kind == "mu" else lambda_table)(ctx, deg)[idx]
+    return out
+
+
+# (field, e): _SLAB is cut to q^3 below, so g's top e - 3 digits are fixed per slab
+SMALL_SLABS = [("gf3", 6), ("gf4", 5), ("gf9", 5)]
+
+
+@pytest.mark.parametrize("ctxname,e", SMALL_SLABS)
+def test_small_slab_sieve_tables(ctxname, e, request, monkeypatch):
+    ctx = request.getfixturevalue(ctxname)
+    for d in (e, e + 1):
+        expected = sieve._sieve(ctx, d)
+        monkeypatch.setattr(sieve, "_SLAB", ctx.q**3)
+        assert sieve._slab_split(ctx.q, d - 1)[0] > 0  # the linear primes' slabs fix top digits
+        for got, table in zip(sieve._sieve.__wrapped__(ctx, d), expected):
+            assert got.dtype == table.dtype
+            assert np.array_equal(got, table)
+        monkeypatch.undo()
+
+
+def _small_slab_terms(ctx, e, rng):
+    T, one, zero = Poly.t(ctx), Poly.one(ctx), Poly.zero(ctx)
+    top = T**(e - 1)
+    dense = top + _random_poly(ctx, rng, e - 1)
+    M2 = T**2 + T + Poly.constant(ctx, rng.randrange(1, ctx.q))
+    return [
+        [("lambda", zero, one), ("lambda", top + one, one)],  # a shift of degree e - 1
+        [("mu", dense, one), ("lambda", one, one)],
+        [("lambda", dense, one), ("mu", top * T + one, T), ("mu", zero, one)],  # a dominates
+        [("mu", one, T), ("lambda", T + one, T + one)],  # deg M = 1
+        [("mu", dense, M2), ("lambda", zero, one), ("lambda", top, one), ("mu", one, T)],
+        [("mu", _random_poly(ctx, rng, e), one)],
+        [("lambda", one, M2)],
+    ]
+
+
+@pytest.mark.parametrize("ctxname,e", SMALL_SLABS)
+def test_small_slab_progressions(ctxname, e, request, monkeypatch):
+    ctx = request.getfixturevalue(ctxname)
+    cases = _small_slab_terms(ctx, e, random.Random(ctx.q * 10 + e))
+    expected = [(_direct(ctx, e, terms), progression_values(ctx, e, terms)) for terms in cases]
+    monkeypatch.setattr(sieve, "_SLAB", ctx.q**3)
+    for terms, (direct, unslabbed) in zip(cases, expected):
+        assert all(v.size <= ctx.q**3 for v in progression_slabs(ctx, e, terms))
+        got = progression_values(ctx, e, terms)
+        assert got.dtype == unslabbed.dtype
+        assert np.array_equal(got, direct)
+        assert progression_sum(ctx, e, terms) == int(direct.sum())
+
+
+@pytest.mark.parametrize("ctxname,e", SMALL_SLABS)
+def test_small_slab_twin_count(ctxname, e, request, monkeypatch):
+    ctx = request.getfixturevalue(ctxname)
+    T, one = Poly.t(ctx), Poly.one(ctx)
+    shifts = [one, T ** (e - 1) + T + one, T ** (e - 2) * Poly.constant(ctx, ctx.q - 1)]
+    expected = [twin_count(ctx, e, a, trunc=2) for a in shifts]
+    monkeypatch.setattr(sieve, "_SLAB", ctx.q**3)
+    for a, report in zip(shifts, expected):
+        got = twin_count(ctx, e, a, trunc=2)
+        assert got.value == report.value
+        assert got.details["prime_pairs"] == report.details["prime_pairs"] > 0
+
+
+def test_loop_path_yields_slabs(gf3, monkeypatch):
+    """Above the caps the per-polynomial loop yields int64 slabs too."""
+    e = 5
+    T, one = Poly.t(gf3), Poly.one(gf3)
+    terms = [("lambda", T**4 + one, one), ("mu", one, T)]
+    expected = progression_values(gf3, e, terms)
+    monkeypatch.setattr(sieve, "bulk_available", lambda ctx, degree: False)
+    monkeypatch.setattr(sieve, "_SLAB", gf3.q**2)
+    slabs = list(progression_slabs(gf3, e, terms))
+    assert [v.size for v in slabs] == [9] * 27
+    assert all(v.dtype == np.int64 for v in slabs)
+    assert np.array_equal(np.concatenate(slabs), expected)
+    assert progression_sum(gf3, e, terms) == int(expected.sum())
 
 
 def _prime_powers(ctx, dp, j):
