@@ -8,12 +8,13 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
   depends on at most deg M + 1 axes of the (q,)*e grid of g, plus the
   batch axis, so it is built there by broadcast gathers from the pair
   tables; the index is the sum of the digits times q^k.
-- _sieve is one Eratosthenes-style pass per degree: it marks the multiples
-  of every P and P^2 with deg P <= d/2 in one packed int16 counter, slab
-  by slab.  It caches two int8 tables, 2 bytes per monic: Mobius, a lookup
-  of the counter, and von Mangoldt, d where the counter is 0 (the primes)
-  with deg P written at each pure power P^(d/deg P).  The prime mask is
-  read off Lambda: Lambda = d only on primes.
+- _sieve is one Eratosthenes-style pass per degree, in one byte per
+  monic: it marks the multiples of every P with deg P <= d/2 in a uint8
+  counter, slab by slab.  It caches two int8 tables, 2 bytes per monic:
+  Mobius, a lookup of the counter, and von Mangoldt, decoded into the
+  counter's own bytes, d where it is 0 (the primes) with deg P written at
+  each pure power P^(d/deg P).  The multiples of each P^2 then clear mu.
+  The prime mask is read off Lambda: Lambda = d only on primes.
 - _index_slabs and _shift_slabs walk g in index order in slabs of at most
   _SLAB entries: a group of whole moduli, or one modulus with the top t
   digits of g fixed.  Those digits fold into the offset of the same
@@ -25,8 +26,9 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
   permutation of the low digits with no index array; other terms gather
   through index slabs.  progression_values joins the slabs into one array
   and progression_sum adds them up, reading one shift fewer when every
-  term is a shift.  Apart from the counter, the cached tables and the
-  array progression_values returns, no transient is larger than one slab.
+  term is a shift.  Apart from the cached tables, which a build holds
+  from the start since the counter becomes Lambda, and the array
+  progression_values returns, no transient is larger than one slab.
 
 The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
@@ -157,60 +159,56 @@ def _index_slabs(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int):
 
 @functools.cache
 def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, Lambda), both int8, over the monics of degree d.
+    """(mu, Lambda), both int8, over the monics of degree d, built in one
+    byte per monic beside the mu table.
 
-    One pass marks every multiple of P^j, j in {1, 2}, for each prime P of
-    degree <= d/2: the tables need no higher power.  The multiples of the
-    primes of one degree, or of their squares, go through _index_slabs, so
-    no index array has more than _SLAB entries.  One int16 counter per f
-    packs, with b = d + 1,
-
-        code = sdeg + b*omega + b^2*Omega
-
-    where omega is the number of distinct small primes dividing f, and
-    sdeg and Omega count each of them once, or twice when its square
-    divides f: a hit of P^j adds deg P + b^2, plus b when j = 1.  Moduli
-    in one slab share multiples, so the hits are scattered with
-    np.add.at.  Whatever degree the small primes leave is one large prime
-    factor, so f is prime exactly when no small prime divides it, code = 0.
-    mu(f) = 0 when some P^2 divides f (Omega > omega), else the parity of
-    the factor count; it is gathered from a lookup table over the (d+1)^3
-    codes.  Lambda(f) is d on primes, and deg P <= d/2 at the one index of
-    each pure power P^(d/deg P), so Lambda = d marks exactly the primes.
-    Both are decoded slab by slab, so the counter and the two tables are
-    the only full-size arrays.  Every degree is at most 24 under
-    BULK_SIZE_CAP, so Lambda fits int8.  The tables are read-only.
+    Each prime P of degree <= d/2 adds deg P + 32 at its multiples in a
+    uint8 counter: the low 5 bits hold sdeg, the summed degree of the distinct
+    small primes dividing f, at most d <= 24 under BULK_SIZE_CAP, and the
+    top 3 bits omega mod 8, their number.  The multiples of the primes of
+    one degree go through _index_slabs, so no index array has more than
+    _SLAB entries; moduli in one slab share multiples, so the hits are
+    scattered with np.add.at.  Whatever degree the small primes leave is
+    one large prime factor, so f is prime exactly when code = 0, and a
+    squarefree f has mu = (-1)^(omega + [sdeg < d]), a lookup that needs
+    only omega's parity.  Slab by slab, mu is gathered from it and Lambda
+    is written over the counter's own bytes, d where code = 0, else 0; the
+    one index of each pure power P^(d/deg P) then gets deg P, so Lambda = d
+    marks exactly the primes.  Last, every multiple of a P^2 with
+    2 deg P <= d, which is every f with a square factor, gets mu = 0
+    through the same slabs.  The two tables are the only full-size
+    arrays, and they are read-only.
     """
     _require(ctx, d)
-    q, b = ctx.q, d + 1
-    # every degree is at most 24 under BULK_SIZE_CAP, so code < 25^3 < 2^15
-    code = np.zeros(q**d, dtype=np.int16)
+    code = np.zeros(ctx.q**d, dtype=np.uint8)
     pure = []  # (index, deg P) of each pure power P^(d/deg P)
+    squares = []  # (deg P, the P^2 of that degree)
     for dp in range(1, d // 2 + 1):
         primes = primes_of_degree(ctx, dp)
-        squares = [_poly_mul(ctx, pc, pc) for pc in primes]
-        for j, powers in ((1, primes), (2, squares)):
-            # an int16 scalar, not a Python int, keeps ufunc.at on its fast path
-            hit = np.int16(dp + b * b + (b if j == 1 else 0))
-            for idx in _index_slabs(ctx, (), powers, d - j * dp, d):
-                np.add.at(code, idx, hit)
-                del idx  # freed before the next slab builds its own
+        # a uint8 scalar, not a Python int, keeps ufunc.at on its fast path
+        hit = np.uint8(dp + 32)
+        for idx in _index_slabs(ctx, (), primes, d - dp, d):
+            np.add.at(code, idx, hit)
+            del idx  # freed before the next slab builds its own
+        squares.append((dp, [_poly_mul(ctx, pc, pc) for pc in primes]))
         if d % dp == 0:
-            pure += [(_index(q, _pow(ctx, pc, d // dp)[:d]), dp) for pc in primes]
-    c = np.arange(b**3)
-    sdeg, omega, Omega = c % b, c // b % b, c // (b * b)
-    lut = np.where(Omega > omega, 0, 1 - 2 * ((omega + (sdeg < d)) & 1)).astype(np.int8)
-    mu, lam = np.empty(code.size, dtype=np.int8), np.empty(code.size, dtype=np.int8)
+            pure += [(_index(ctx.q, _pow(ctx, pc, d // dp)[:d]), dp) for pc in primes]
+    c = np.arange(256)
+    lut = (1 - 2 * (((c >> 5) + (c % 32 < d)) & 1)).astype(np.int8)
+    mu = np.empty(code.size, dtype=np.int8)
     for s in range(0, code.size, _SLAB):
         part = code[s:s + _SLAB]
         np.take(lut, part, out=mu[s:s + _SLAB])
-        np.multiply(part == 0, np.int8(d), out=lam[s:s + _SLAB])
+        np.multiply(part == 0, np.uint8(d), out=part)
     for i, dp in pure:
-        lam[i] = dp
-    tables = mu, lam
-    for t in tables:
+        code[i] = dp
+    for dp, powers in squares:
+        for idx in _index_slabs(ctx, (), powers, d - 2 * dp, d):
+            mu[idx] = 0
+            del idx
+    for t in mu, code:
         t.setflags(write=False)
-    return tables
+    return mu, code.view(np.int8)  # a view of a read-only array is read-only
 
 
 def prime_mask(ctx: FieldCtx, d: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The per-polynomial loop path of each bulk sum against its sieve path.
 
 With ffmobius.sieve.bulk_available forced to False, every sum below runs
-the one loop in sieve.progression_values over monic polynomials; the whole
+the one loop in sieve.progression_slabs over monic polynomials; the whole
 canonical report (or the integer, for the degree sums) must equal the one
 the numpy sieve path gives.
 """

@@ -155,6 +155,7 @@ def test_sieve_tables_are_read_only(gf3):
         values[:] = 1
     for table in sieve._sieve(gf3, 3):
         assert not table.flags.writeable
+        assert table.base is None or not table.base.flags.writeable  # Lambda views the counter
     assert mobius_degree_sum(gf3, 3) == 0
 
 
@@ -315,6 +316,34 @@ def test_cold_sieve_peak_gf3_degree13(gf3):
     sieve._sieve.cache_clear()
     _, peak = traced_peak(lambda: mobius_table(gf3, d))
     assert peak < 6.5 * gf3.q**d
+
+
+def test_cold_sieve_peak_gf9_degree7(gf9):
+    """The one-byte counter becomes Lambda in place, so the two int8 tables
+    are the only full-size arrays: a cold degree-7 build holds under 3
+    bytes per monic at its peak."""
+    d = 7
+    for dp in range(1, d // 2 + 1):
+        primes_of_degree(gf9, dp)
+    sieve._sieve.cache_clear()
+    _, peak = traced_peak(lambda: mobius_table(gf9, d))
+    assert peak < 3 * gf9.q**d
+
+
+def test_omega_field_wraps_at_eight_primes(gf2):
+    """The counter keeps omega mod 8.  Over GF(2) the 8 primes of degree
+    <= 4 have degrees summing to 22, so their product f wraps omega to 0:
+    mu(f) = +1 and Lambda(f) = 0.  At degree 23, f times a linear prime
+    has a square factor, so mu = 0."""
+    primes = [Poly(gf2, list(P)) for dp in range(1, 5) for P in primes_of_degree(gf2, dp)]
+    assert len(primes) == 8
+    f = math.prod(primes[1:], start=primes[0])
+    T = Poly.t(gf2)
+    for g, mu in ((f, 1), (f * T, 0)):
+        i = poly_index(g) - gf2.q**g.degree  # the leading 1 is not part of a monic's index
+        assert int(mobius_table(gf2, g.degree)[i]) == mobius_oracle(g) == mu
+        assert int(lambda_table(gf2, g.degree)[i]) == von_mangoldt(g) == 0
+    sieve._sieve.cache_clear()  # 12.6M entries: leave no large table cached
 
 
 def test_warm_twin_count_peak_gf3_degree12(gf3):
