@@ -13,6 +13,8 @@ The mu/Lambda sums over progressions all take their values from
 sieve.progression_slabs, which gathers from the numpy sieve tables within
 the caps and loops over the monic polynomials above them, slab by slab;
 sums that need only the total call its exact sum, sieve.progression_sum.
+The main term sums it over the divisors D of M (mu(gD), g monic), and mu
+against psi of the inverse over the unit classes r mod M (mu(r + gM)).
 Their `threads` keyword is accepted for existing callers and has no
 effect: the loop is pure Python, so threads cannot overlap.
 """
@@ -55,6 +57,7 @@ from .poly import (
     gcd,
     is_squarefree,
     monics,
+    poly_from_index,
     poly_index,
     polys_below,
 )
@@ -453,13 +456,15 @@ def main_term_partial(ctx: FieldCtx, d: int, M: Poly) -> ExperimentReport:
     reported against its limit -q^m/phi(M)."""
     if not is_squarefree(M) or not M.is_monic:
         raise ValueError("M must be squarefree monic")
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     q = ctx.q
+    zero = Poly.zero(ctx)
     total = Fraction(0)
     for k in range(1, d + 1):
-        inner = 0
-        for A in monics(ctx, k):
-            if gcd(A, M).degree == 0:
-                inner += mobius(A)
+        # [(A, M) = 1] = sum of mu(D) over D | (A, M): A = gD, g monic of degree k - deg D
+        inner = sum(mobius(D) * sieve.progression_sum(ctx, k - D.degree, [("mu", zero, D)])
+                    for D in divisors(M) if D.degree <= k)
         total += Fraction(k * inner, q**k)
     reference = -Fraction(q**M.degree, euler_phi(M)) if M.degree >= 1 else -Fraction(1)
     diff = abs(total - reference)
@@ -526,19 +531,22 @@ def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None) -
     against the subsquare-root reference q^(3m/16 + 25d/32)."""
     if not is_squarefree(M) or not M.is_monic or M.degree < 1:
         raise ValueError("M must be squarefree monic nonconstant")
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     ring = residue_ring(M)
     psi = AdditiveCharacter(ring, h if h is not None else Poly.one(ctx))
     acc = RootOfUnitySum(ctx.p)
-    for g in monics(ctx, d):
-        inv = ring.inv_index[ring.index(g)]
-        if inv < 0:
-            continue
-        mu = mobius(g)
-        if mu == 0:
-            continue
-        acc.add(psi.exponent_index(inv), mu)
-    value = acc.to_complex()
     m = M.degree
+    for r in ring.units:
+        if d < m and r // ctx.q**d != 1:  # R itself is not monic of degree d
+            continue
+        R = poly_from_index(ctx, r, m)
+        # mu summed over the monic g of degree d in the class R: R + BM with B
+        # monic of degree d - m; at d <= m the class holds one g, R + M or R
+        mu_sum = (sieve.progression_sum(ctx, d - m, [("mu", R, M)]) if d > m
+                  else mobius(R + M if d == m else R))
+        acc.add(psi.exponent_index(ring.inv_index[r]), mu_sum)
+    value = acc.to_complex()
     reference = ctx.q ** (3 * m / 16 + 25 * d / 32)
     return ExperimentReport(
         experiment="mobius-inv-additive",
@@ -562,6 +570,8 @@ def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly) -> ExperimentRepor
     class a mod M, against the exact bound q^-min(m, floor((d-1)/p))."""
     if not is_squarefree(M) or not M.is_monic:
         raise ValueError("M must be squarefree monic")
+    if d < 1:
+        raise ValueError("degree must be >= 1")
     p = ctx.p
     # g' is supported on positions j-1 for p not dividing j <= d; the free
     # coefficients are those with j < d, plus a fixed leading term if p ∤ d.

@@ -24,11 +24,12 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
   progression takes: table gathers under the caps, one loop above them,
   slab by slab.  A shift a + g (M = 1, deg a < e) is read through a small
   permutation of the low digits with no index array; other terms gather
-  through index slabs.  progression_values joins the slabs into one array
-  and progression_sum adds them up, reading one shift fewer when every
-  term is a shift.  Apart from the cached tables, which a build holds
-  from the start since the counter becomes Lambda, and the array
-  progression_values returns, no transient is larger than one slab.
+  through index slabs.  progression_sum adds the slabs up, reading one
+  shift fewer when every term is a shift; every mu/Lambda sum over a
+  degree calls it, the progression main term and mu against an additive
+  character of the inverse included.  Apart from the cached tables, which
+  a build holds from the start since the counter becomes Lambda, no
+  transient is larger than one slab.
 
 The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
@@ -57,7 +58,6 @@ __all__ = [
     "lambda_table",
     "affine_index_map",
     "progression_slabs",
-    "progression_values",
     "progression_sum",
     "mobius_degree_sum",
     "lambda_degree_sum",
@@ -334,6 +334,8 @@ def progression_slabs(ctx: FieldCtx, e: int, terms):
     the factors are multiplied into a slab this call owns, never into a
     cached table.
     """
+    if e < 0:
+        raise ValueError("degree must be >= 0")
     # looked up per call, so wrappers installed on the module attributes see these calls
     routes = {"mu": (mobius_table, mobius), "lambda": (lambda_table, von_mangoldt)}
     factors = [(*routes[kind], a, M) for kind, a, M in terms]
@@ -363,24 +365,9 @@ def progression_slabs(ctx: FieldCtx, e: int, terms):
         yield out
 
 
-def progression_values(ctx: FieldCtx, e: int, terms) -> np.ndarray:
-    """prod_i F_i(a_i + g M_i) for every monic g of degree e, in index order:
-    the slabs of progression_slabs joined into one array.  A product that
-    fits one slab is that slab, so a one-term product may be the cached
-    read-only table itself."""
-    n, s = ctx.q**e, 0
-    for vals in progression_slabs(ctx, e, terms):
-        if vals.size == n:
-            return vals
-        if s == 0:
-            out = np.empty(n, dtype=vals.dtype)
-        out[s:s + vals.size] = vals
-        s += vals.size
-    return out
-
-
 def progression_sum(ctx: FieldCtx, e: int, terms) -> int:
-    """Exact integer sum of progression_values(ctx, e, terms), slab by slab.
+    """Exact integer sum of prod_i F_i(a_i + g M_i) over the monic g of
+    degree e, added up slab by slab from progression_slabs.
 
     When every term is a shift a_i + g (M = 1, deg a_i < e), the sum runs
     over x = g + a_1 instead, which meets every monic of degree e once:

@@ -122,10 +122,17 @@ def test_principal_char_rejected(capsys):
     (["twin", "--q", "3", "--d", "3", "--no-such-flag"], {}),
     (["twin", "--q", "3", "--d", "x"], {}),
     ([], {}),
+    (["chowla", "--q", "3", "--pair", "1", "--d", "-1"], {}),
+    (["mobius-lambda-corr", "--q", "3", "--a", "1", "--d", "-1"], {}),
+    (["derivative-ratio", "--q", "3", "--M", "T", "--d", "0"], {}),
+    (["derivative-ratio", "--q", "3", "--M", "T", "--d", "-1"], {}),
+    (["main-term", "--q", "3", "--M", "T", "--d", "-2"], {}),
+    (["mobius-inv-additive", "--q", "3", "--M", "T", "--d", "-1"], {}),
 ], ids=["twin-a0", "table-cap-env", "past-table-cap", "char-idx", "char-selector",
         "no-degree", "no-field", "five-shifts", "reversed-d-range", "one-ended-d-range",
         "q-no-degree", "q-no-prime", "q-bad-degree", "unknown-flag", "non-integer-d",
-        "no-subcommand"])
+        "no-subcommand", "chowla-negative-d", "corr-negative-d", "derivative-d0",
+        "derivative-negative-d", "main-term-negative-d", "inv-additive-negative-d"])
 def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     """Bad input is a usage or domain error: exit 2, a single stderr line,
     no traceback and no report; exit 1 stays reserved for a failed bound."""

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from ffmobius import (
     ResourceLimitError,
     characters_mod,
     field_new,
+    gcd,
+    is_irreducible,
     is_squarefree,
     mobius,
     monics,
@@ -36,6 +39,7 @@ from ffmobius.experiments import (
     twin_count,
     vaughan_check,
 )
+from ffmobius.characters import AdditiveCharacter, RootOfUnitySum, residue_ring
 from ffmobius.poly import poly_from_index
 
 
@@ -398,6 +402,63 @@ def test_twin_ratio_is_one_integer_division(gf9):
     for d in (2, 3, 4):
         rep = twin_count(gf9, d, one, trunc=4)
         assert rep.ratio == float(Fraction(rep.value) / rep.reference)
+
+
+# -- per-polynomial references for the two mu sums over a whole degree -----
+
+
+def _main_term_loop(ctx, d, M, mu):
+    """main_term_partial's values at degrees 0 .. d, one monic A at a time."""
+    totals = [Fraction(0)]
+    for k in range(1, d + 1):
+        inner = 0
+        for A in monics(ctx, k):
+            if gcd(A, M).degree == 0:
+                inner += mu(A)
+        totals.append(totals[-1] + Fraction(k * inner, ctx.q**k))
+    return totals
+
+
+def _mobius_inv_additive_loop(ctx, d, M, mu):
+    """mobius_inv_additive's value, one monic g at a time."""
+    ring = residue_ring(M)
+    psi = AdditiveCharacter(ring, Poly.one(ctx))
+    acc = RootOfUnitySum(ctx.p)
+    for g in monics(ctx, d):
+        inv = ring.inv_index[ring.index(g)]
+        if inv < 0:
+            continue
+        value = mu(g)
+        if value == 0:
+            continue
+        acc.add(psi.exponent_index(inv), value)
+    return acc.to_complex()
+
+
+def _first_irreducible(ctx, m):
+    return next(P for P in monics(ctx, m) if is_irreducible(P))
+
+
+def _reference_moduli(ctx):
+    """T, then an irreducible and a reducible squarefree M of degrees 2 and 3."""
+    T = Poly.t(ctx)
+    P2, P3 = _first_irreducible(ctx, 2), _first_irreducible(ctx, 3)
+    return [T, P2, T * (T + Poly.one(ctx)), P3, T * P2]
+
+
+@pytest.mark.parametrize("ctxname", ["gf2", "gf3", "gf5", "gf9"])
+def test_degree_mu_sums_equal_per_polynomial_loops(ctxname, request):
+    """The divisor-sum main term and the class-sum inverse additive twist
+    equal the per-polynomial loops exactly, for d = 0 .. deg M + 2."""
+    ctx = request.getfixturevalue(ctxname)
+    mu = functools.cache(mobius)  # one discriminant per polynomial across both loops
+    for M in [Poly.one(ctx)] + _reference_moduli(ctx):
+        main_terms = _main_term_loop(ctx, M.degree + 2, M, mu)
+        for d in range(M.degree + 3):
+            assert main_term_partial(ctx, d, M).value == main_terms[d], (M, d)
+            if M.degree >= 1:
+                value = mobius_inv_additive(ctx, d, M).value
+                assert value == _mobius_inv_additive_loop(ctx, d, M, mu), (M, d)
 
 
 # -- inverse additive -------------------------------------------------------

@@ -12,7 +12,9 @@ from ffmobius import Poly, sieve
 from ffmobius.experiments import (
     chowla_sum,
     lambda_ap_sum,
+    main_term_partial,
     mobius_ap_sum,
+    mobius_inv_additive,
     mobius_lambda_corr,
     mobius_prime_power_ap,
     twin_count,
@@ -30,6 +32,8 @@ def _cases(ctx, d):
         ("mobius-lambda-corr", lambda: mobius_lambda_corr(ctx, d, one, T, [(T, one)])),
         ("prime-power-ap", lambda: mobius_prime_power_ap(ctx, d + 1, T + one, 2)),
         ("twin", lambda: twin_count(ctx, d, one)),
+        ("main-term", lambda: main_term_partial(ctx, d + 1, M * (T + one))),
+        ("mobius-inv-additive", lambda: mobius_inv_additive(ctx, d + 1, M)),
     ]
     cases = [(name, lambda run=run: run().to_json(canonical=True)) for name, run in reports]
     return cases + [

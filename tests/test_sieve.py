@@ -21,10 +21,21 @@ from ffmobius.sieve import (
     primes_of_degree,
     progression_slabs,
     progression_sum,
-    progression_values,
 )
 
 from conftest import traced_peak
+
+
+def progression_values(ctx, e, terms):
+    """prod_i F_i(a_i + g M_i) for every monic g of degree e, in index order:
+    the slabs of progression_slabs joined into one preallocated array."""
+    out, s = None, 0
+    for vals in progression_slabs(ctx, e, terms):
+        if out is None:
+            out = np.empty(ctx.q**e, dtype=vals.dtype)
+        out[s:s + vals.size] = vals
+        s += vals.size
+    return out
 
 
 # GF(2) and GF(4) have many prime powers P^n with n >= 2 among small degrees
@@ -150,7 +161,7 @@ def test_pure_powers_and_cube_multiples(ctxname, d, request):
 
 
 def test_sieve_tables_are_read_only(gf3):
-    values = progression_values(gf3, 3, [("mu", Poly.zero(gf3), Poly.one(gf3))])
+    values = next(progression_slabs(gf3, 3, [("mu", Poly.zero(gf3), Poly.one(gf3))]))
     with pytest.raises(ValueError):
         values[:] = 1
     for table in sieve._sieve(gf3, 3):
@@ -298,7 +309,7 @@ def test_shift_read_results(gf3):
     """a = 0 hands out the read-only cached table; a shifted read is a new
     array that a caller may write into."""
     one = Poly.one(gf3)
-    assert progression_values(gf3, 4, [("mu", Poly.zero(gf3), one)]) is mobius_table(gf3, 4)
+    assert next(progression_slabs(gf3, 4, [("mu", Poly.zero(gf3), one)])) is mobius_table(gf3, 4)
     for a in (Poly.constant(gf3, 2), Poly.t(gf3) + one):
         values = progression_values(gf3, 4, [("mu", a, one)])
         assert values.flags.writeable
