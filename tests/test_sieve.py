@@ -311,8 +311,8 @@ def test_shift_read_results(gf3):
     one = Poly.one(gf3)
     assert next(progression_slabs(gf3, 4, [("mu", Poly.zero(gf3), one)])) is mobius_table(gf3, 4)
     for a in (Poly.constant(gf3, 2), Poly.t(gf3) + one):
-        values = progression_values(gf3, 4, [("mu", a, one)])
-        assert values.flags.writeable
+        values = next(progression_slabs(gf3, 4, [("mu", a, one)]))
+        assert values.size == gf3.q**4 and values.flags.writeable
         values[:] = 1
         assert mobius_degree_sum(gf3, 4) == 0
 
