@@ -4,8 +4,13 @@ Multiplicative characters are supported for squarefree moduli only: the
 unit group then splits by CRT into cyclic factors (one per irreducible
 divisor), and a character is an exponent vector against deterministic
 per-factor generators.  Additive characters use the F_p-algebra trace of
-multiplication, evaluated through e_p.  Kloosterman sums and the two
-complete sums used by the bilinear estimates sit on top.
+multiplication, evaluated through e_p.  The base-p digits of a residue's
+index are its F_p coordinates, so psi_h is an F_p-linear form and
+u -> psi_h(x u) is a dot product with the digits of u, through the trace
+Gram matrix of h; no product table is built.  Kloosterman sums, the
+complete sums C(g, h) and the rational Kloosterman aggregate are one
+routine on top: a count, over the units y, of a linear form in the digits
+of y^-1 and y.
 
 Quadratic (and principal) characters evaluate to exact integers, through
 the Legendre symbol of a norm, with no discrete-log table; general
@@ -20,11 +25,12 @@ import cmath
 import math
 from functools import lru_cache
 
-from .config import RING_TABLE_CAP
+import numpy as np
+
 from .factor import divisor_count, factor, is_irreducible
 from .field import cyclic_group
 from .poly import Poly, ext_gcd, gcd, is_squarefree, poly_from_index
-from .poly import _digits, _index, _is_irreducible, _mod, _mul, _resultant, _trim  # tuple kernels
+from .poly import _digits, _index, _is_irreducible, _mod, _mul, _resultant  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -218,19 +224,32 @@ def quadratic_character_mod(E: Poly, E1: Poly) -> DirichletCharacter:
 # ---------------------------------------------------------------------------
 
 
-class ResidueRing:
-    """A = F_q[T]/(M) with unit inventory and the trace-of-multiplication
-    functional down to F_q.
+def digit_matrix(ctx, m: int) -> np.ndarray:
+    """The base-p digits of every base-q index below q^m: row x holds the m k
+    digits of x, low first, in the smallest unsigned dtype that fits p.
 
-    Residues are addressed by their base-q index.  When size^2 is at most
-    RING_TABLE_CAP, mul_index memoises products a row at a time: the first
-    product i * j fills row i (at most size products; entries already in
-    another row are copied), so a caller that fixes one factor, as every
-    Kloosterman and C-sum loop does, pays for the rows it uses and no more.
-    Larger rings multiply and reduce on every call.
+    Digit i = kj + u of a residue's index is its coordinate on
+    omega^u T^j (omega the field's polynomial basis), the residue of index
+    p^i, and addition is digitwise mod p: every F_p-linear map of residues
+    is a matrix product on these rows."""
+    n = m * ctx.k
+    digits = np.arange(ctx.q**m)[:, None] // ctx.p ** np.arange(n) % ctx.p
+    return digits.astype(np.min_scalar_type(ctx.p - 1))
+
+
+class ResidueRing:
+    """A = F_q[T]/(M) with its unit inventory, its base-p digit matrix and
+    the trace-of-multiplication functional down to F_p.
+
+    Residues are addressed by their base-q index; `digits[x]` holds the F_p
+    coordinates of x (see digit_matrix).  `unit_digits` stacks the rows
+    [d(y^-1) | d(y)] of the units y, in `units` order, so a sum over the
+    units of an exponent linear in y^-1 and y is one matrix product.  No
+    product table is kept: products only enter through AdditiveCharacter's
+    trace form.
     """
 
-    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "_trace_vec", "_rows")
+    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "digits", "unit_digits", "basis", "_trace_vec")
 
     def __init__(self, M: Poly):
         if M.is_zero or M.degree < 1:
@@ -252,6 +271,11 @@ class ResidueRing:
                 inv_index[idx] = _index(ctx.q, _mod(ctx, u.coeffs, mc))
         self.units = tuple(units)
         self.inv_index = inv_index
+        self.digits = digit_matrix(ctx, self.m)
+        y = np.array(units)
+        self.unit_digits = np.hstack((self.digits[np.array(inv_index)[y]], self.digits[y])).astype(np.int64)
+        # e_i, the residue of index p^i, as a coefficient tuple
+        self.basis = tuple(poly_from_index(ctx, ctx.p**i, self.m).coeffs for i in range(self.digits.shape[1]))
         # trace of multiplication by T^i, as an F_q element, for i < m
         tvec = []
         for i in range(self.m):
@@ -262,7 +286,6 @@ class ResidueRing:
                     acc = ctx.add(acc, r[j])
             tvec.append(acc)
         self._trace_vec = tuple(tvec)
-        self._rows = [None] * self.size if self.size * self.size <= RING_TABLE_CAP else None
 
     def index(self, f: Poly) -> int:
         return _index(self.ctx.q, _mod(self.ctx, f.coeffs, self.M.coeffs))
@@ -270,48 +293,20 @@ class ResidueRing:
     def poly(self, idx: int) -> Poly:
         return poly_from_index(self.ctx, idx, self.m)
 
-    def _product(self, a, b) -> int:
-        """Index of the residue of a * b, for coefficient tuples a and b."""
-        ctx = self.ctx
-        return _index(ctx.q, _mod(ctx, _mul(ctx, a, b), self.M.coeffs))
-
-    def mul_index(self, i: int, j: int) -> int:
-        rows = self._rows
-        if rows is None:
-            q, m = self.ctx.q, self.m
-            return self._product(_trim(_digits(q, i, m)), _trim(_digits(q, j, m)))
-        row = rows[i]
-        if row is None:
-            row = self._row(i)
-        return row[j]
-
-    def _row(self, i: int) -> list[int]:
-        """Row i of the product table (the indices of i * x for every x),
-        filled on first use; only for rings within the table cap."""
-        rows = self._rows
-        row = rows[i]
-        if row is None:
-            # products are symmetric: reuse column i of the rows already filled
-            q, m = self.ctx.q, self.m
-            a = _trim(_digits(q, i, m))
-            row = rows[i] = [
-                self._product(a, _trim(_digits(q, x, m))) if r is None else r[i]
-                for x, r in enumerate(rows)
-            ]
-        return row
-
-    def trace_to_base(self, coeffs) -> int:
-        """Trace of multiplication-by-x on A as an F_q-linear map."""
-        ctx = self.ctx
-        acc = 0
-        for i, c in enumerate(coeffs):
-            if c:
-                acc = ctx.add(acc, ctx.mul(c, self._trace_vec[i]))
-        return acc
-
     def trace_to_prime(self, coeffs) -> int:
         """Full F_p-algebra trace of multiplication by x, in [0, p)."""
-        return self.ctx.trace_to_prime(self.trace_to_base(coeffs))
+        ctx = self.ctx
+        acc = 0
+        for c, t in zip(coeffs, self._trace_vec):
+            if c:
+                acc = ctx.add(acc, ctx.mul(c, t))
+        return ctx.trace_to_prime(acc)
+
+    def trace_weights(self, coeffs) -> np.ndarray:
+        """Tr(a e_i) for every basis residue e_i, a the residue of `coeffs`:
+        the weights of the F_p-linear form u -> Tr(a u) on the digit rows."""
+        ctx, mc = self.ctx, self.M.coeffs
+        return np.array([self.trace_to_prime(_mod(ctx, _mul(ctx, coeffs, e), mc)) for e in self.basis])
 
 
 @lru_cache(maxsize=128)
@@ -336,52 +331,48 @@ class RootOfUnitySum:
         self.counts[exponent % self.p] += weight
 
     def to_complex(self) -> complex:
-        p = self.p
-        return sum(
-            c * cmath.exp(2j * cmath.pi * v / p) for v, c in enumerate(self.counts) if c
-        ) + 0j
+        roots = _roots(self.p)
+        return sum(c * roots[v] for v, c in enumerate(self.counts) if c) + 0j
+
+
+@lru_cache(maxsize=16)
+def _roots(p: int) -> tuple[complex, ...]:
+    """e_p(v) for v < p, computed once per p."""
+    return tuple(cmath.exp(2j * cmath.pi * v / p) for v in range(p))
 
 
 class AdditiveCharacter:
     """psi_h on A = F_q[T]/(M): x -> e_p(Tr(h x)) with the F_p-algebra trace.
 
+    (x, u) -> Tr(h x u) is an F_p-bilinear form on the ring's digit rows,
+    with Gram matrix gram[i][j] = Tr(h e_i e_j), e_i the residue of index
+    p^i; building it takes (mk)^2 products.  weights[x] = d(x) @ gram mod p
+    are the coefficients of u -> Tr(h x u), a dot product with d(u), and
+    column 0 (u = 1) is psi's own exponent table.
+
     `exponent` returns the integer Tr(h x) in [0, p) for exact accumulation;
     calling the character returns the complex value.
     """
 
-    __slots__ = ("ring", "h", "_table")
+    __slots__ = ("ring", "h", "gram", "weights", "_table")
 
     def __init__(self, ring: ResidueRing, h: Poly):
         self.ring = ring
         self.h = h % ring.M
-        self._table = None
-        if ring.size <= RING_TABLE_CAP:
-            ctx = ring.ctx
-            hc = self.h.coeffs
-            mc = ring.M.coeffs
-            table = []
-            for idx in range(ring.size):
-                prod = _mod(ctx, _mul(ctx, hc, poly_from_index(ctx, idx, ring.m).coeffs), mc)
-                table.append(ring.trace_to_prime(prod))
-            self._table = table
+        ctx = ring.ctx
+        self.gram = np.array([ring.trace_weights(_mul(ctx, self.h.coeffs, e)) for e in ring.basis])
+        self.weights = ring.digits @ self.gram % ctx.p
+        self._table = self.weights[:, 0].tolist()
 
     @property
     def modulus(self) -> Poly:
         return self.ring.M
 
     def exponent_index(self, idx: int) -> int:
-        if self._table is not None:
-            return self._table[idx]
-        ctx = self.ring.ctx
-        prod = _mod(
-            ctx,
-            _mul(ctx, self.h.coeffs, poly_from_index(ctx, idx, self.ring.m).coeffs),
-            self.ring.M.coeffs,
-        )
-        return self.ring.trace_to_prime(prod)
+        return self._table[idx]
 
     def exponent(self, f: Poly) -> int:
-        return self.exponent_index(self.ring.index(f))
+        return self._table[self.ring.index(f)]
 
     def __call__(self, f: Poly) -> complex:
         e = self.exponent(f)
@@ -394,31 +385,27 @@ def additive_character(M: Poly, h: Poly | None = None) -> AdditiveCharacter:
     return AdditiveCharacter(ring, h if h is not None else Poly.one(M.ctx))
 
 
+def _unit_counts(ring: ResidueRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts per exponent in [0, p) of the sum over the units y of
+    e_p(d(y^-1).a + d(y).b), for a and b the weights of two F_p-linear
+    forms; 2-D a and b, one form per row, sum over their rows as well."""
+    p = ring.ctx.p
+    e = ring.unit_digits @ np.concatenate((a, b), axis=-1).T
+    e %= p
+    return np.bincount(e.ravel(), minlength=p)
+
+
+def _ring_of(M: Poly, psi: AdditiveCharacter) -> ResidueRing:
+    if psi.ring.M != M.monic():
+        raise ValueError("additive character does not match the modulus")
+    return psi.ring
+
+
 def kloosterman(M: Poly, psi: AdditiveCharacter, x: Poly, z: Poly) -> complex:
     """S(x, z) = sum over units y of psi(x y^{-1} + z y)."""
-    ring = psi.ring
-    if ring.M != M.monic():
-        raise ValueError("additive character does not match the modulus")
-    return _kloosterman_idx(ring, psi, ring.index(x), ring.index(z)).to_complex()
-
-
-def _kloosterman_idx(ring: ResidueRing, psi: AdditiveCharacter, xi: int, zi: int) -> RootOfUnitySum:
-    p = ring.ctx.p
-    acc = RootOfUnitySum(p)
-    inv = ring.inv_index
-    table = psi._table
-    if table is not None and ring._rows is not None:
-        # the two product rows, filled once, and the trace table: no calls
-        rx, rz = ring._row(xi), ring._row(zi)
-        counts = acc.counts
-        for y in ring.units:
-            counts[(table[rx[inv[y]]] + table[rz[y]]) % p] += 1
-        return acc
-    mul = ring.mul_index
-    exp = psi.exponent_index
-    for y in ring.units:
-        acc.add(exp(mul(xi, inv[y])) + exp(mul(zi, y)))
-    return acc
+    ring = _ring_of(M, psi)
+    counts = _unit_counts(ring, psi.weights[ring.index(x)], psi.weights[ring.index(z)])
+    return RootOfUnitySum(ring.ctx.p, counts.tolist()).to_complex()
 
 
 def rational_kloosterman_aggregate(
@@ -429,46 +416,42 @@ def rational_kloosterman_aggregate(
     b = (b1, b2, b3, b1', b2', b3').  For prime M and a nondegenerate shift
     tuple (no S_3 matching between the two halves, nor the characteristic-3
     all-equal configuration) the sum is asserted against 16|A|; otherwise
-    only the trivial |A|^2 bound applies.
+    only the trivial |A|^2 bound applies.  psi, psi_1 by default, must be a
+    character mod M.
     """
     if len(b) != 6:
         raise ValueError("b must be a 6-tuple of shifts")
-    ring = residue_ring(M)
     if psi is None:
-        psi = AdditiveCharacter(ring, Poly.one(M.ctx))
+        psi = additive_character(M)
+    ring = _ring_of(M, psi)
     ctx = ring.ctx
+    p = ctx.p
     bi = [ring.index(v) for v in b]
     first, second = bi[:3], bi[3:]
 
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     degenerate = any(all(first[i] == second[s[i]] for i in range(3)) for s in perms)
-    if ctx.p == 3 and len(set(first)) == 1 and len(set(second)) == 1:
+    if p == 3 and len(set(first)) == 1 and len(set(second)) == 1:
         degenerate = True
 
-    size = ring.size
-    inv = ring.inv_index
-    zi = ring.index(z)
-    acc = RootOfUnitySum(ctx.p)
-    kl_cache: dict[int, RootOfUnitySum] = {}
-    for x in range(size):
-        shifted = [_digitwise(ring, ctx.add, x, t) for t in bi]
-        if any(inv[s] < 0 for s in shifted):
-            continue
-        r = 0
-        for s in shifted[:3]:
-            r = _digitwise(ring, ctx.add, r, inv[s])
-        for s in shifted[3:]:
-            r = _digitwise(ring, ctx.sub, r, inv[s])
-        part = kl_cache.get(r)
-        if part is None:
-            part = _kloosterman_idx(ring, psi, r, zi)
-            kl_cache[r] = part
-        for v, c in enumerate(part.counts):
-            if c:
-                acc.add(v, c)
-    value = acc.to_complex()
+    # the index of x + b_t for every residue x (rows) and shift t (columns),
+    # and the x at which all six are units
+    digits = ring.digits
+    shifted = (digits[:, None, :] + digits[bi].astype(np.int64)) % p @ p ** np.arange(digits.shape[1])
+    inverses = np.asarray(ring.inv_index)[shifted]
+    inverses = inverses[(inverses >= 0).all(axis=1)]
+    # R_b(x) is the first three inverses minus the last three: these digit
+    # sums are its digits mod p, and psi(R_b(x) y^-1) is linear in them
+    d = digits[inverses].astype(np.int64)
+    wr = (d[:, :3].sum(axis=1) - d[:, 3:].sum(axis=1)) @ psi.gram % p
+    wz = np.broadcast_to(psi.weights[ring.index(z)], wr.shape)
+    counts = np.zeros(p, dtype=np.int64)
+    step = max(1, (1 << 18) // len(ring.units))  # at most 2^18 exponents at a time
+    for i in range(0, len(wr), step):
+        counts += _unit_counts(ring, wr[i : i + step], wz[i : i + step])
+    value = RootOfUnitySum(p, counts.tolist()).to_complex()
 
-    a_size = float(size)
+    a_size = float(ring.size)
     if is_irreducible(ring.M) and not degenerate:
         bound = 16.0 * a_size
     else:
@@ -476,35 +459,13 @@ def rational_kloosterman_aggregate(
     return value, bound, abs(value) <= bound + 1e-9
 
 
-def _digitwise(ring: ResidueRing, op, i: int, j: int) -> int:
-    """Index of the residue whose base-q digits are op(digit of i, digit of
-    j): ring.index(x + y) for op = ctx.add, ring.index(x - y) for ctx.sub."""
-    q = ring.ctx.q
-    out = 0
-    m = 1
-    for _ in range(ring.m):
-        out += op(i % q, j % q) * m
-        i //= q
-        j //= q
-        m *= q
-    return out
-
-
 def c_sum(M: Poly, psi: AdditiveCharacter, g: Poly, h: Poly) -> tuple[complex, float, bool]:
     """C(g, h) = sum over units z of psi(g z^{-1}) e_p(Tr(h z)), checked
     against the divisor-function square-root bound."""
-    ring = residue_ring(M)
-    if ring.M != psi.ring.M:
-        raise ValueError("additive character does not match the modulus")
+    ring = _ring_of(M, psi)
     ctx = ring.ctx
-    twist = AdditiveCharacter(ring, h)
-    gi = ring.index(g)
-    acc = RootOfUnitySum(ctx.p)
-    mul = ring.mul_index
-    inv = ring.inv_index
-    for z in ring.units:
-        acc.add(psi.exponent_index(mul(gi, inv[z])) + twist.exponent_index(z))
-    value = acc.to_complex()
+    counts = _unit_counts(ring, psi.weights[ring.index(g)], ring.trace_weights(h.coeffs))
+    value = RootOfUnitySum(ctx.p, counts.tolist()).to_complex()
 
     mgh = gcd(gcd(ring.M, g), h).monic()
     bound = divisor_count(ring.M) * math.sqrt(float(ring.size) * float(ctx.q**mgh.degree))

@@ -15,10 +15,6 @@ DEFAULT_TABLE_CAP = 1 << 20
 # Full q*q add/mul tables are built only for extension fields up to this size.
 PAIR_TABLE_CAP = 1 << 10
 
-# Per-ring lookup tables (additive-character values, residue products) are
-# built only up to this many entries.
-RING_TABLE_CAP = 1 << 16
-
 # field_new() interns this many contexts (least recently used dropped); each
 # holds q-sized tables, so the bound keeps large fields from piling up.
 FIELD_CACHE_SIZE = 32

@@ -40,6 +40,7 @@ from .characters import (
     DirichletCharacter,
     RootOfUnitySum,
     c_sum,
+    digit_matrix,
     kloosterman,
     local_logs,
     rational_kloosterman_aggregate,
@@ -50,7 +51,7 @@ from .decomposition import decompose, verify_decomposition
 from .errors import DegenerateClassError, ResourceLimitError
 from .extension import embed_field, lift_poly
 from .factor import divisors, factor, is_irreducible
-from .field import FieldCtx, pair_tables
+from .field import FieldCtx
 from .poly import (
     Poly,
     format_poly,
@@ -148,14 +149,13 @@ def _interval_sums(g: Poly):
     S_t(f) only depends on the digits of f at positions >= t, and
     S_{t+1}(f) = sum_c S_t(f + c T^t) sums over digit t, the fastest axis in
     base-q index order: each level adds up groups of q adjacent entries, and
-    the array shrinks by q.  Residues mod each prime P follow from
-    x mod P = sum_j x_j (T^j mod P), digit by digit.
+    the array shrinks by q.  Reduction mod each prime P is F_p-linear, so the
+    residues x mod P are one product of the base-p digit rows of x.
     """
     ctx = g.ctx
-    q, m = ctx.q, g.degree
-    add2, mul2 = pair_tables(ctx)
-    x_digits = np.arange(q**m) // q ** np.arange(m)[:, None] % q  # digit j of x at [j, x]
-    locs = [local_logs(p) for p, _ in factor(g).factors]
+    p, q, m = ctx.p, ctx.q, g.degree
+    digits = digit_matrix(ctx, m)
+    locs = [local_logs(P) for P, _ in factor(g).factors]
     lcm = math.lcm(*(loc.order for loc in locs))
     # all nontrivial exponent vectors, lexicographic
     exps = np.array(
@@ -167,11 +167,11 @@ def _interval_sums(g: Poly):
     n = len(exps)
     dlogs = np.empty((len(locs), q**m), dtype=np.int64)
     for row, loc in zip(dlogs, locs):
-        # x mod P = sum_j x_j (T^j mod P), digit by digit in the pair tables
-        place = q ** np.arange(loc.degree)
-        powers = np.array([poly_index(Poly.monomial(ctx, j) % loc.prime) for j in range(m)])
-        terms = mul2[x_digits[:, None, :], powers[:, None, None] // place[:, None] % q]
-        residue = place @ functools.reduce(lambda a, b: add2[a, b], terms)
+        # the image of e_i, the residue of index p^i, mod P: its index, then
+        # its digits in row i of the matrix of x -> x mod P
+        place = p ** np.arange(ctx.k * loc.degree)
+        basis = [poly_index(poly_from_index(ctx, p**i, m) % loc.prime) for i in range(ctx.k * m)]
+        residue = digits @ (np.array(basis)[:, None] // place % p) % p @ place
         row[:] = np.array(loc.dlog)[residue]  # dlog[0] = -1 marks the zero divisors
     weights = np.array([lcm // loc.order for loc in locs], dtype=np.int64)
     phases = (exps * weights) @ np.where(dlogs < 0, 0, dlogs)

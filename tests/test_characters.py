@@ -306,6 +306,22 @@ def test_aggregate_kloosterman_nondegenerate_bound(gf5):
     assert checked >= 100
 
 
+
+def test_sums_reject_a_character_of_another_modulus(gf5):
+    """A psi mod T^2 + 2 with M = T + 1 raises in all three unit sums; the
+    aggregate used to return (0j, 80.0, True) here."""
+    T = Poly.t(gf5)
+    one = Poly.one(gf5)
+    M = T + one
+    psi = additive_character(T * T + Poly.constant(gf5, 2))
+    b = tuple(Poly.constant(gf5, c) for c in (1, 2, 3, 1, 2, 4))
+    with pytest.raises(ValueError, match="does not match the modulus"):
+        rational_kloosterman_aggregate(M, b, one, psi)
+    with pytest.raises(ValueError, match="does not match the modulus"):
+        kloosterman(M, psi, one, one)
+    with pytest.raises(ValueError, match="does not match the modulus"):
+        c_sum(M, psi, one, one)
+
 def _dlog_parity_value(primes, f):
     """The reference route for a real character: the product over P of
     (-1)^dlog_P(f mod P), 0 when P | f."""

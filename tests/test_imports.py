@@ -83,3 +83,32 @@ def test_every_private_name_is_referenced():
 def test_detects_an_unreferenced_private_function():
     source = "def _used():\n    return 1\n\n\ndef _left_over():\n    return _used()\n"
     assert _unreferenced_private({"m.py": source}) == ["m.py: _left_over (line 5)"]
+
+
+def _unread_constants(config: str, sources: dict[str, str]) -> list[str]:
+    """Top-level constants of the `config` source that neither a module of
+    `sources` (name -> text) nor config itself reads by name, attribute or
+    import; config's own functions count as readers (field_table_cap reads
+    DEFAULT_TABLE_CAP)."""
+    tree = ast.parse(config)
+    constants = [t.id for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)]
+    read = set()
+    for t in [tree] + [ast.parse(text) for text in sources.values()]:
+        for node in ast.walk(t):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [name for name in constants if name not in read]
+
+
+def test_every_config_constant_is_read():
+    others = {p.name: p.read_text() for p in SOURCES if p.name != "config.py"}
+    assert _unread_constants((PACKAGE / "config.py").read_text(), others) == []
+
+
+def test_detects_an_unread_config_constant():
+    assert _unread_constants("USED = 1\nLEFT_OVER = 2\n", {"m.py": "from .config import USED\n"}) == ["LEFT_OVER"]

@@ -1,5 +1,6 @@
-"""The tuple kernels of ffmobius.poly and the residue-ring product table
-against references written with the FieldCtx methods alone.
+"""The tuple kernels of ffmobius.poly against references written with the
+FieldCtx methods alone, and the residue-ring unit sums (Kloosterman, C-sum,
+aggregate) against per-unit references written with polynomial products.
 
 The kernels take one of three paths: inline arithmetic mod p for prime
 fields, the flat pair tables for extension fields up to PAIR_TABLE_CAP, and
@@ -12,8 +13,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffmobius import Poly, ResidueRing, field_new, monics, parse_poly, polys_below
-from ffmobius.config import PAIR_TABLE_CAP, RING_TABLE_CAP
+from ffmobius import Poly, ext_gcd, field_new, gcd, monics, parse_poly, polys_below
+from ffmobius.characters import (
+    AdditiveCharacter,
+    RootOfUnitySum,
+    c_sum,
+    kloosterman,
+    rational_kloosterman_aggregate,
+    residue_ring,
+)
+from ffmobius.config import PAIR_TABLE_CAP
 from ffmobius.field import pair_tables
 from ffmobius.poly import _add, _divmod, _frob, _frobenius, _mod, _mul, _pow, _pow_qsum, _powmod, _sub, _trim
 
@@ -175,29 +184,88 @@ def test_pow_qsum_euler_exponent_gf3():
     assert _pow_qsum(ctx, (2, 1), 1, 1, P) == (2, 1)  # d = 1, c = 1: a itself
 
 
-def _check_products(ring, pairs):
-    M = ring.M
-    for i, j in pairs:
-        assert ring.mul_index(i, j) == ring.index((ring.poly(i) * ring.poly(j)) % M), (i, j)
+def _matrix_trace(M, x):
+    """Tr(x) down to F_p as the trace of multiplication by x on the F_p-basis
+    omega^u T^j of F_q[T]/(M): the sum of the diagonal coordinates."""
+    ctx = M.ctx
+    total = 0
+    for j in range(M.degree):
+        for u in range(ctx.k):
+            e = Poly(ctx, [0] * j + [ctx.encode([0] * u + [1] + [0] * (ctx.k - u - 1))])
+            prod = ((x * e) % M).coeffs
+            total += ctx.coords(prod[j])[u] if j < len(prod) else 0
+    return total % ctx.p
 
 
-@pytest.mark.parametrize("q,modulus", [(7, "T^2+1"), (9, "T^2+T+2"), (4, "T^3+T+1"), (3, "T^4+2*T+2")])
-def test_mul_index_table_every_pair(q, modulus):
-    ring = ResidueRing(parse_poly(FIELDS[q], modulus))
-    assert ring.size**2 <= RING_TABLE_CAP
-    assert ring._rows == [None] * ring.size  # filled on first use, not at construction
-    _check_products(ring, [(3, 1)])
-    assert [i for i, row in enumerate(ring._rows) if row is not None] == [3]
-    _check_products(ring, [(i, j) for i in range(ring.size) for j in range(ring.size)])
-    assert all(row is not None for row in ring._rows)
+def _reference_counts(M, a, b):
+    """Counts per exponent of sum over the units y of e_p(Tr(a y^-1 + b y)),
+    one unit at a time, with polynomial products and matrix traces."""
+    ctx = M.ctx
+    counts = [0] * ctx.p
+    for y in polys_below(ctx, M.degree):
+        g, u, _ = ext_gcd(y, M)
+        if g.degree != 0:
+            continue
+        y_inv = (u * Poly.constant(ctx, ctx.inv(g.coeffs[0]))) % M
+        counts[_matrix_trace(M, (a * y_inv + b * y) % M)] += 1
+    return counts
 
 
-def test_mul_index_past_the_cap_samples():
-    ring = ResidueRing(Poly(FIELDS[3], [1, 2, 0, 0, 0, 0, 1]))  # T^6 + 2T + 1, 729 residues
-    assert ring.size**2 > RING_TABLE_CAP
-    rng = random.Random(5)
-    _check_products(ring, [(rng.randrange(ring.size), rng.randrange(ring.size)) for _ in range(400)])
-    assert ring._rows is None
+def _value(p, counts):
+    return RootOfUnitySum(p, counts).to_complex()
+
+
+# both sides of the former 256-residue product-table cap, and characteristic 2
+RINGS = [(5, "T+2"), (5, "T^2+2"), (5, "T^2+T"), (4, "T^3+T+1"), (3, "T^5+2*T+1"), (9, "T^3+T+3")]
+
+
+@pytest.mark.parametrize("q,modulus", RINGS)
+def test_kloosterman_and_c_sum_match_brute_force(q, modulus):
+    """S(x, z) and C(g, h) under psi_h, h != 1 included, against the per-unit
+    reference: S(x, z) sums e_p(Tr(h x y^-1 + h z y)), C(g, h') sums
+    e_p(Tr(h g y^-1 + h' y))."""
+    ctx = FIELDS[q]
+    M = parse_poly(ctx, modulus)
+    ring = residue_ring(M)
+    rng = random.Random(q * 1000 + ring.size)
+    residues = [0, 1] + [rng.randrange(ring.size) for _ in range(2)]
+    for hi in (1, rng.randrange(2, ring.size)):
+        h = ring.poly(hi)
+        psi = AdditiveCharacter(ring, h)
+        for xi, zi in zip(residues, reversed(residues)):
+            x, z = ring.poly(xi), ring.poly(zi)
+            want = _value(ctx.p, _reference_counts(M, h * x, h * z))
+            assert abs(kloosterman(M, psi, x, z) - want) < 1e-9, (hi, xi, zi)
+            value, _, _ = c_sum(M, psi, x, z)
+            assert abs(value - _value(ctx.p, _reference_counts(M, h * x, z))) < 1e-9, (hi, xi, zi)
+
+
+@pytest.mark.parametrize("q,modulus", RINGS[:4])
+def test_aggregate_matches_brute_force(q, modulus):
+    """sum_x S(R_b(x), z) over the x with every x + b_t a unit, R_b(x) the
+    first three inverses minus the last three, against the per-unit
+    reference, for psi_1 and a psi_h with h != 1."""
+    ctx = FIELDS[q]
+    M = parse_poly(ctx, modulus)
+    ring = residue_ring(M)
+    rng = random.Random(q * 1000 + ring.size)
+    for hi in (1, rng.randrange(2, ring.size)):
+        h = ring.poly(hi)
+        psi = AdditiveCharacter(ring, h)
+        b = tuple(ring.poly(rng.randrange(ring.size)) for _ in range(6))
+        z = ring.poly(rng.randrange(ring.size))
+        counts = [0] * ctx.p
+        for x in polys_below(ctx, M.degree):
+            shifted = [x + t for t in b]
+            if any(gcd(s, M).degree for s in shifted):
+                continue
+            inv = [(ext_gcd(s, M)[1] * Poly.constant(ctx, ctx.inv(gcd(s, M).coeffs[0]))) % M
+                   for s in shifted]
+            r = (inv[0] + inv[1] + inv[2] - inv[3] - inv[4] - inv[5]) % M
+            for v, c in enumerate(_reference_counts(M, h * r, h * z)):
+                counts[v] += c
+        value, _, _ = rational_kloosterman_aggregate(M, b, z, psi)
+        assert abs(value - _value(ctx.p, counts)) < 1e-9, (hi, b, z)
 
 
 @pytest.mark.parametrize("q", [3, 7, 4, 8, 9, 25, 27])
