@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffmobius import Poly, ext_gcd, field_new, gcd, monics, parse_poly, polys_below
+from ffmobius import Poly, ext_gcd, field_new, monics, parse_poly, polys_below
 from ffmobius.characters import (
     AdditiveCharacter,
     RootOfUnitySum,
@@ -197,17 +197,22 @@ def _matrix_trace(M, x):
     return total % ctx.p
 
 
+def _inverse(M, y):
+    """y^-1 mod M by the extended Euclidean algorithm, None off the units."""
+    g, u, _ = ext_gcd(y, M)
+    if g.degree != 0:
+        return None
+    return (u * Poly.constant(M.ctx, M.ctx.inv(g.coeffs[0]))) % M
+
+
 def _reference_counts(M, a, b):
     """Counts per exponent of sum over the units y of e_p(Tr(a y^-1 + b y)),
     one unit at a time, with polynomial products and matrix traces."""
-    ctx = M.ctx
-    counts = [0] * ctx.p
-    for y in polys_below(ctx, M.degree):
-        g, u, _ = ext_gcd(y, M)
-        if g.degree != 0:
-            continue
-        y_inv = (u * Poly.constant(ctx, ctx.inv(g.coeffs[0]))) % M
-        counts[_matrix_trace(M, (a * y_inv + b * y) % M)] += 1
+    counts = [0] * M.ctx.p
+    for y in polys_below(M.ctx, M.degree):
+        y_inv = _inverse(M, y)
+        if y_inv is not None:
+            counts[_matrix_trace(M, (a * y_inv + b * y) % M)] += 1
     return counts
 
 
@@ -256,11 +261,9 @@ def test_aggregate_matches_brute_force(q, modulus):
         z = ring.poly(rng.randrange(ring.size))
         counts = [0] * ctx.p
         for x in polys_below(ctx, M.degree):
-            shifted = [x + t for t in b]
-            if any(gcd(s, M).degree for s in shifted):
+            inv = [_inverse(M, x + t) for t in b]
+            if None in inv:
                 continue
-            inv = [(ext_gcd(s, M)[1] * Poly.constant(ctx, ctx.inv(gcd(s, M).coeffs[0]))) % M
-                   for s in shifted]
             r = (inv[0] + inv[1] + inv[2] - inv[3] - inv[4] - inv[5]) % M
             for v, c in enumerate(_reference_counts(M, h * r, h * z)):
                 counts[v] += c
