@@ -28,6 +28,12 @@ FACTOR_CACHE_SIZE = 1 << 15
 BULK_Q_CAP = 256
 BULK_SIZE_CAP = 1 << 24
 
+# The sieve caches its (mu, Lambda) table pairs, 2 bytes per monic, up to this
+# many bytes (least recently used dropped, before each build); the pair just
+# built is kept even when it alone is larger, so a degree sweep holds one
+# large pair and at most this much of the others.
+SIEVE_CACHE_BYTES = 1 << 23
+
 # Base seed for equal-degree splitting; per-polynomial streams are derived
 # from it so factorizations do not depend on call order.
 CZ_SEED = 24601

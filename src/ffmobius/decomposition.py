@@ -18,9 +18,11 @@ testable content.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import inverse_mod, mobius, mobius_oracle
 from .characters import DirichletCharacter, quadratic_character_mod
+from .config import FACTOR_CACHE_SIZE
 from .errors import DegenerateClassError
 from .factor import factor, rad, rad1
 from .field import FieldCtx
@@ -101,6 +103,18 @@ def derivative_class(ctx: FieldCtx, rprime: Poly, d: int):
         yield r + Poly._raw(ctx, tuple(sp))
 
 
+# A sweep over classes meets few distinct (M, E) and (E, E1) (658 (E, E1) among
+# the 73,234 GF(9) classes of criterion 02), so each is computed once.
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _inverse(ctx, m_coeffs, e_coeffs) -> Poly:
+    return inverse_mod(Poly._raw(ctx, m_coeffs), Poly._raw(ctx, e_coeffs))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _character(ctx, e_coeffs, e1_coeffs) -> DirichletCharacter:
+    return quadratic_character_mod(Poly._raw(ctx, e_coeffs), Poly._raw(ctx, e1_coeffs))
+
+
 def decompose(a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionData:
     """Build (D, E, E1, w, chi, S) for the class {a + gM : g' = rprime}.
 
@@ -136,8 +150,8 @@ def decompose(a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionData:
     if E.degree == 0:
         w = zero
     else:
-        w = (a * inverse_mod(M, E)) % E
-    chi = quadratic_character_mod(E, E1)
+        w = (a * _inverse(ctx, M.coeffs, E.coeffs)) % E
+    chi = _character(ctx, E.coeffs, E1.coeffs)
 
     S = 0
     calibrated = False

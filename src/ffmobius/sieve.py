@@ -34,17 +34,19 @@ coefficient vector, matching poly.monic_from_index.  On that index space:
 The tables are an optimization layer: results are cross-checked in the
 test suite against the per-polynomial exact routes (discriminant Mobius,
 factorization oracle).  Table kernels refuse to run above the configured
-caps.  Tables are cached per interned field context and read-only.
+caps.  Tables are read-only, and cached per interned field context and
+degree in a cache bounded in bytes that evicts before it builds (_pair_cache).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
 
 from .arith import mobius, von_mangoldt
-from .config import BULK_Q_CAP, BULK_SIZE_CAP
+from .config import BULK_Q_CAP, BULK_SIZE_CAP, SIEVE_CACHE_BYTES
 from .errors import ResourceLimitError
 from .field import FieldCtx, pair_tables
 from .poly import Poly, _add, _digits, _index, _pow, _sub, _trim, monics
@@ -70,10 +72,12 @@ _SLAB = 1 << 18
 
 
 def bulk_available(ctx: FieldCtx, degree: int) -> bool:
-    return ctx.q <= BULK_Q_CAP and ctx.q**degree <= BULK_SIZE_CAP
+    return degree >= 0 and ctx.q <= BULK_Q_CAP and ctx.q**degree <= BULK_SIZE_CAP
 
 
 def _require(ctx: FieldCtx, degree: int):
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     if not bulk_available(ctx, degree):
         raise ResourceLimitError(
             f"bulk kernel over {ctx.q}^{degree} monic polynomials exceeds the cap"
@@ -157,7 +161,38 @@ def _index_slabs(ctx: FieldCtx, a: tuple, Ms: list, e: int, d_out: int):
             yield _affine_index(ctx, _add(ctx, a, offset), [M], e - t, d_out)
 
 
-@functools.cache
+def _pair_cache(build):
+    """Least-recently-used memo of (ctx, d) -> (mu, Lambda) pairs in SIEVE_CACHE_BYTES.
+    A miss drops the oldest pairs until the new pair's 2 q^d bytes fit, or none is
+    left, then builds; the new pair is kept even if it alone does not fit."""
+    pairs, info = collections.OrderedDict(), collections.Counter()
+
+    def fit(size: int, keep: int):
+        while len(pairs) > keep and info["bytes"] + size > SIEVE_CACHE_BYTES:
+            info["bytes"] -= sum(t.nbytes for t in pairs.popitem(last=False)[1])
+            info["evictions"] += 1
+
+    @functools.wraps(build)  # cached.__wrapped__ is the uncached builder
+    def cached(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (ctx, d)
+        if key in pairs:
+            info["hits"] += 1
+            pairs.move_to_end(key)
+        else:
+            info["misses"] += 1
+            _require(ctx, d)  # before any eviction, and before q^d is taken
+            fit(2 * ctx.q**d, 0)
+            pairs[key] = cached.__wrapped__(ctx, d)
+            info["bytes"] += 2 * ctx.q**d
+            fit(0, 1)  # drop what nested builds of the primes added, never the new pair
+        return pairs[key]
+
+    cached.cache_clear = lambda: (pairs.clear(), info.clear())
+    cached.cache_info = lambda: {k: info[k] for k in ("hits", "misses", "evictions", "bytes")}
+    return cached
+
+
+@_pair_cache
 def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(mu, Lambda), both int8, over the monics of degree d, built in one
     byte per monic beside the mu table.
@@ -179,7 +214,6 @@ def _sieve(ctx: FieldCtx, d: int) -> tuple[np.ndarray, np.ndarray]:
     through the same slabs.  The two tables are the only full-size
     arrays, and they are read-only.
     """
-    _require(ctx, d)
     code = np.zeros(ctx.q**d, dtype=np.uint8)
     pure = []  # (index, deg P) of each pure power P^(d/deg P)
     squares = []  # (deg P, the P^2 of that degree)

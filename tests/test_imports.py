@@ -112,3 +112,48 @@ def test_every_config_constant_is_read():
 
 def test_detects_an_unread_config_constant():
     assert _unread_constants("USED = 1\nLEFT_OVER = 2\n", {"m.py": "from .config import USED\n"}) == ["LEFT_OVER"]
+
+
+# Unbounded memos allowed in src/ffmobius, each with the reason it is bounded anyway.
+UNBOUNDED_MEMOS = {
+    "sieve.primes_of_degree": "the sieve asks only for degrees up to half its own, at most 12",
+    "cli.build_parser": "takes no arguments, so it holds one parser",
+}
+
+
+def _last_name(node) -> str | None:
+    """`cache` for both functools.cache and a bare cache."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _unbounded_memos(sources: dict[str, str]) -> list[str]:
+    """module.function for every function of `sources` (name -> text)
+    decorated with functools.cache, a bare cache or lru_cache(maxsize=None)."""
+    out = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call):  # lru_cache(None) or lru_cache(maxsize=None)
+                    sizes = dec.args[:1] + [k.value for k in dec.keywords if k.arg == "maxsize"]
+                    unbounded = _last_name(dec.func) == "lru_cache" and any(
+                        isinstance(s, ast.Constant) and s.value is None for s in sizes)
+                else:
+                    unbounded = _last_name(dec) == "cache"
+                if unbounded:
+                    out.append(f"{name.removesuffix('.py')}.{node.name}")
+    return sorted(out)
+
+
+def test_every_memo_is_bounded():
+    # exactly the allowlist: an entry whose memo is gone or bounded is dropped from it
+    assert _unbounded_memos({p.name: p.read_text() for p in SOURCES}) == sorted(UNBOUNDED_MEMOS)
+
+
+def test_detects_an_unbounded_memo():
+    source = "@functools.cache\ndef f(x): return x\n"
+    assert _unbounded_memos({"m.py": source}) == ["m.f"]
+    assert _unbounded_memos({"m.py": "@lru_cache(maxsize=None)\ndef f(x): return x\n"}) == ["m.f"]
+    assert _unbounded_memos({"m.py": "@functools.lru_cache(None)\ndef f(x): return x\n"}) == ["m.f"]
+    assert _unbounded_memos({"m.py": "@lru_cache(maxsize=8)\ndef f(x): return x\n"}) == []

@@ -243,6 +243,114 @@ def test_cached_tables_are_two_int8_tables(gf3, gf9):
         assert sum(t.nbytes for t in tables) == 2 * ctx.q**d
 
 
+def test_negative_degree_raises(gf3):
+    assert not bulk_available(gf3, -1)
+    for table in (mobius_table, lambda_table):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            table(gf3, -1)
+
+
+# A cache bound of a few KB: GF(3) pairs of degree >= 7 and GF(9) pairs of
+# degree >= 4 are each larger than it alone.
+SMALL_CACHE = 4096
+
+
+def _small_cache(monkeypatch, warm=()):
+    """Cut the cache bound to SMALL_CACHE, warm primes_of_degree for the
+    (ctx, top degree) of `warm` so no build nests another, clear the cache,
+    and return the list each build then appends (q, d, cached bytes at its
+    start) to."""
+    for ctx, dmax in warm:
+        for dp in range(1, dmax // 2 + 1):
+            primes_of_degree(ctx, dp)
+    monkeypatch.setattr(sieve, "SIEVE_CACHE_BYTES", SMALL_CACHE)
+    sieve._sieve.cache_clear()
+    builds = []
+    build = sieve._sieve.__wrapped__
+
+    def recorded(ctx, d):
+        builds.append((ctx.q, d, sieve._sieve.cache_info()["bytes"]))
+        return build(ctx, d)
+
+    monkeypatch.setattr(sieve._sieve, "__wrapped__", recorded)
+    return builds
+
+
+def test_cache_hit_returns_the_same_arrays(gf3, gf5, gf9, monkeypatch):
+    """A hit returns the cached arrays, builds nothing and makes its pair
+    the most recently used, so the next eviction drops another."""
+    builds = _small_cache(monkeypatch, [(gf3, 6), (gf9, 3), (gf5, 4)])
+    mu, lam = sieve._sieve(gf3, 6)
+    mobius_table(gf9, 3)
+    assert mobius_table(gf3, 6) is mu and lambda_table(gf3, 6) is lam
+    held = 2 * 3**6 + 2 * 9**3
+    assert sieve._sieve.cache_info() == {"hits": 2, "misses": 2, "evictions": 0, "bytes": held}
+    mobius_table(gf5, 4)  # 1,250 bytes: the GF(9) pair, now the oldest, makes room
+    assert mobius_table(gf3, 6) is mu
+    assert [b[:2] for b in builds] == [(3, 6), (9, 3), (5, 4)]
+    assert sieve._sieve.cache_info()["evictions"] == 1
+
+
+def _seeded_reads(ctxs, monkeypatch):
+    """A seeded sequence of cold (ctx, d) reads under the small bound,
+    nested builds of the primes included; returns the builds and, per read,
+    (cached bytes after it, bytes of the pair it returned)."""
+    sieve.primes_of_degree.cache_clear()
+    builds = _small_cache(monkeypatch)
+    rng = random.Random(19)
+    first, after = {}, []
+    for _ in range(60):
+        ctx, dmax = rng.choice(ctxs)
+        d = rng.randint(0, dmax)
+        pair = sieve._sieve(ctx, d)
+        for t, t0 in zip(pair, first.setdefault((ctx.q, d), [t.copy() for t in pair])):
+            assert np.array_equal(t, t0)  # a rebuilt pair equals the first one
+        after.append((sieve._sieve.cache_info()["bytes"], sum(t.nbytes for t in pair)))
+    return builds, after
+
+
+def test_cached_bytes_stay_within_the_bound(gf3, gf9, monkeypatch):
+    """After every read the cache holds at most the bound, or only the pair
+    just returned."""
+    _, after = _seeded_reads([(gf3, 8), (gf9, 4)], monkeypatch)
+    assert all(held <= max(SMALL_CACHE, newest) for held, newest in after)
+    assert sieve._sieve.cache_info()["evictions"] > 0
+
+
+def test_cache_evicts_before_it_builds(gf3, gf9, monkeypatch):
+    """When a build starts, the cached bytes and the new pair fit under the
+    bound, or nothing is cached."""
+    builds, _ = _seeded_reads([(gf3, 8), (gf9, 4)], monkeypatch)
+    assert any(2 * q**d > SMALL_CACHE for q, d, _ in builds)
+    assert all(held == 0 or held + 2 * q**d <= SMALL_CACHE for q, d, held in builds)
+
+
+def test_evicted_table_stays_equal_and_read_only(gf3, gf9, monkeypatch):
+    _small_cache(monkeypatch, [(gf3, 6), (gf9, 4)])
+    mu, lam = sieve._sieve(gf3, 6)
+    before = [mu.copy(), lam.copy()]
+    mobius_table(gf9, 4)  # 13,122 bytes: evicts the GF(3) pair
+    assert sieve._sieve.cache_info()["evictions"] == 1
+    for t, b in zip((mu, lam), before):
+        assert np.array_equal(t, b) and not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 0
+    again = mobius_table(gf3, 6)
+    assert again is not mu and np.array_equal(again, mu)
+
+
+def test_ascending_degrees_build_each_pair_once(gf3, gf9, monkeypatch):
+    """A degree sweep reads its pairs in ascending degree, so with the
+    primes of lower degrees known it builds each pair once under any bound."""
+    builds = _small_cache(monkeypatch, [(gf3, 9), (gf9, 4)])
+    for ctx, dmax in ((gf3, 9), (gf9, 4)):
+        for d in range(2, dmax + 1):
+            assert mobius_degree_sum(ctx, d) == 0
+            assert lambda_degree_sum(ctx, d) == ctx.q**d
+            assert int(prime_mask(ctx, d).sum()) == len(primes_of_degree(ctx, d))
+    assert [b[:2] for b in builds] == [(3, d) for d in range(2, 10)] + [(9, d) for d in range(2, 5)]
+
+
 @pytest.mark.parametrize("ctxname,dmax", [("gf2", 12), ("gf3", 8), ("gf4", 6), ("gf9", 4)])
 def test_prime_mask_is_lambda_equal_degree(ctxname, dmax, request):
     ctx = request.getfixturevalue(ctxname)
