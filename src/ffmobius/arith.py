@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factor import distinct_degree_split, factor
+from .factor import distinct_degree_split
 from .poly import Poly, discriminant, ext_gcd, gcd, monics, resultant
 from .poly import _pow_qsum  # tuple kernel
 
@@ -68,13 +68,13 @@ def mobius_oracle(f: Poly) -> int:
 
 
 def von_mangoldt(f: Poly) -> int:
-    """deg(P) when f = P^n for an irreducible P, else 0."""
+    """deg(P) when f = P^n for an irreducible P (the split is P alone), else 0."""
     if f.is_zero or not f.is_monic:
         raise ValueError("von Mangoldt is defined on monic nonzero polynomials")
-    fac = factor(f)
-    if fac.omega != 1:
-        return 0
-    return fac.factors[0][0].degree
+    split = distinct_degree_split(f)
+    if len(split) == 1 and split[0][0].degree == split[0][1]:
+        return split[0][1]
+    return 0
 
 
 def euler_phi(M: Poly) -> int:
@@ -83,9 +83,9 @@ def euler_phi(M: Poly) -> int:
         raise ValueError("euler_phi of zero is undefined")
     q = M.ctx.q
     out = 1
-    for prime, mult in factor(M).factors:
-        np = q**prime.degree
-        out *= np ** (mult - 1) * (np - 1)
+    for prod, d, mult in distinct_degree_split(M.monic()):
+        np = q**d
+        out *= (np ** (mult - 1) * (np - 1)) ** (prod.degree // d)
     return out
 
 
@@ -109,28 +109,27 @@ def jacobi(f: Poly, g: Poly) -> int:
 
 
 def jacobi_oracle(f: Poly, g: Poly) -> int:
-    """(f/g) through the factorization of g and the Euler criterion in each
-    residue field; the independent check for :func:`jacobi`."""
+    """(f/g) by the Euler criterion on each part G of the distinct-degree
+    split of g, the primes of one degree d; the independent check for
+    :func:`jacobi`.  r = f mod G must be a unit, s = r^((q^d - 1) / 2) is
+    then +-1 mod each prime of G, and r is a non-residue at exactly the
+    primes of gcd(G, s + 1), while gcd(G, s - 1) holds the rest."""
     ctx = g.ctx
     if ctx.p == 2:
         raise ValueError("Jacobi symbol needs odd q")
     if g.is_zero or g.degree < 1:
         raise ValueError("Jacobi symbol needs nonconstant denominator")
+    one = Poly.one(ctx)
     out = 1
-    for prime, mult in factor(g).factors:
-        r = f % prime
-        if r.is_zero:
+    for G, d, mult in distinct_degree_split(g.monic()):
+        if gcd(f, G).degree:
             return 0
-        if mult % 2 == 0:
-            continue
-        # r^((q^deg P - 1) / 2) mod P
-        s = _pow_qsum(ctx, r.coeffs, (ctx.q - 1) // 2, prime.degree, prime.coeffs)
-        if s == (1,):
-            continue
-        if s == (ctx.neg_table[1],):
-            out = -out
-        else:  # pragma: no cover - would mean a broken residue field
-            raise AssertionError("Euler criterion value outside {1,-1}")
+        if mult % 2:
+            s = Poly._raw(ctx, _pow_qsum(ctx, (f % G).coeffs, (ctx.q - 1) // 2, d, G.coeffs))
+            nonresidue = gcd(G, s + one).degree
+            if gcd(G, s - one).degree + nonresidue != G.degree:  # pragma: no cover - would mean a broken residue field
+                raise AssertionError("Euler criterion value outside {1,-1}")
+            out *= (-1) ** (nonresidue // d)
     return out
 
 
@@ -223,9 +222,9 @@ def singular_series(a: Poly, N: int, method: str = "euler-product") -> SingularS
     q = ctx.q
     if method == "euler-product":
         by_degree: dict[int, int] = {}
-        for prime, _ in factor(a).factors:
-            if prime.degree <= N:
-                by_degree[prime.degree] = by_degree.get(prime.degree, 0) + 1
+        for prod, d, _ in distinct_degree_split(a.monic()):
+            if d <= N:
+                by_degree[d] = by_degree.get(d, 0) + prod.degree // d
         value = _euler_product(q, N, tuple(sorted(by_degree.items())))
     elif method == "coefficient-sum":
         total = Fraction(0)

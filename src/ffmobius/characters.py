@@ -29,8 +29,8 @@ import numpy as np
 
 from .factor import divisor_count, factor, is_irreducible
 from .field import cyclic_group
-from .poly import Poly, ext_gcd, gcd, is_squarefree, poly_from_index
-from .poly import _digits, _index, _is_irreducible, _mod, _mul, _resultant  # tuple kernels
+from .poly import Poly, gcd, is_squarefree, poly_from_index
+from .poly import _digits, _ext_gcd, _index, _is_irreducible, _mod, _mul, _resultant, _trim  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -261,18 +261,19 @@ class ResidueRing:
         self.m = M.degree
         self.size = ctx.q**self.m
         mc = M.coeffs
-        units = []
+        # one extended gcd per unit pair {x, x^-1}
         inv_index = [-1] * self.size
         for idx in range(self.size):
-            r = poly_from_index(ctx, idx, self.m)
-            g, u, _ = ext_gcd(r, M)
-            if g.degree == 0:
-                units.append(idx)
-                inv_index[idx] = _index(ctx.q, _mod(ctx, u.coeffs, mc))
-        self.units = tuple(units)
+            if inv_index[idx] < 0:
+                g, u, _ = _ext_gcd(ctx, _trim(_digits(ctx.q, idx, self.m)), mc)
+                if len(g) == 1:
+                    inv = _index(ctx.q, _mod(ctx, u, mc))
+                    inv_index[idx] = inv
+                    inv_index[inv] = idx
+        self.units = tuple(idx for idx, inv in enumerate(inv_index) if inv >= 0)
         self.inv_index = inv_index
         self.digits = digit_matrix(ctx, self.m)
-        y = np.array(units)
+        y = np.array(self.units)
         self.unit_digits = np.hstack((self.digits[np.array(inv_index)[y]], self.digits[y])).astype(np.int64)
         # e_i, the residue of index p^i, as a coefficient tuple
         self.basis = tuple(poly_from_index(ctx, ctx.p**i, self.m).coeffs for i in range(self.digits.shape[1]))

@@ -24,7 +24,7 @@ from .arith import inverse_mod, mobius, mobius_oracle
 from .characters import DirichletCharacter, quadratic_character_mod
 from .config import FACTOR_CACHE_SIZE
 from .errors import DegenerateClassError
-from .factor import factor, rad, rad1
+from .factor import distinct_degree_split, rad, rad1
 from .field import FieldCtx
 from .poly import Poly, gcd, polys_below
 
@@ -206,12 +206,11 @@ def principal_implies_square(data: DecompositionData, a: Poly, M: Poly, rprime: 
     ctx = a.ctx
     A = Poly.one(ctx)
     B = Poly.one(ctx)
-    fac = factor(data.D)
-    for prime, mult in fac.factors:
+    for prod, _, mult in distinct_degree_split(data.D.monic()):
         if mult % 2:
-            A = A * prime
-        B = B * prime ** (mult // 2)
-    lam = fac.leading
+            A = A * prod
+        B = B * prod ** (mult // 2)
+    lam = data.D.lc
     assert (M % A).is_zero, "odd-multiplicity part must divide M when chi is principal"
     assert Poly.constant(ctx, lam) * A * B * B == data.D
     return True, (A, B, lam)

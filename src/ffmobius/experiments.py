@@ -50,7 +50,7 @@ from .config import BULK_SIZE_CAP, FACTOR_CACHE_SIZE
 from .decomposition import decompose, verify_decomposition
 from .errors import DegenerateClassError, ResourceLimitError
 from .extension import embed_field, lift_poly
-from .factor import divisors, factor, is_irreducible
+from .factor import distinct_degree_split, divisors, factor, is_irreducible
 from .field import FieldCtx
 from .poly import (
     Poly,
@@ -229,8 +229,7 @@ def rk_bound(f: Poly, g: Poly, t: int) -> tuple[int, bool]:
         raise ValueError("g must be squarefree monic nonconstant")
     if not 0 <= t <= m:
         raise ValueError("need 0 <= t <= deg g")
-    degrees = [p.degree for p, _ in factor(g).factors]
-    L = math.lcm(*degrees)
+    L = math.lcm(*(d for _, d, _ in distinct_degree_split(g)))
     if (ctx.q**L) ** max(t, 1) > BULK_SIZE_CAP or ctx.q**L > BULK_SIZE_CAP:
         raise ResourceLimitError("splitting field enumeration above cap")
     big, emb = embed_field(ctx, L)
@@ -621,7 +620,7 @@ def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: 
             h = q_
         else:
             h = f
-        if all(mult % 2 == 0 for _, mult in factor(h).factors):
+        if all(mult % 2 == 0 for _, _, mult in distinct_degree_split(h.monic())):
             count += 1
     reference = ctx.q ** ((0.5 + alpha) * d)
     return ExperimentReport(

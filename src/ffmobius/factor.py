@@ -1,15 +1,18 @@
-"""Full factorization over GF(q): squarefree split, distinct-degree split,
+"""Factorization over GF(q): squarefree split, distinct-degree split,
 then equal-degree (Cantor-Zassenhaus) splitting.
 
 This is the brute-force oracle the arithmetic functions are checked
-against.  Equal-degree splitting draws its randomness from a stream
-seeded by (CZ_SEED, input encoding) on its first draw, so every
-factorization is reproducible and independent of call order; degree-1
-parts are split by root scan instead, which needs no randomness at all.
-Results are memoised in a bounded LRU (config.FACTOR_CACHE_SIZE), so the
-routes that ask about the same polynomial factor it once; so is the
-squarefree and distinct-degree split they are built on, which is all that
-the Mobius oracle needs.
+against.  The deterministic distinct_degree_split, the product of the
+primes of each degree and multiplicity, is all that mu, Lambda, phi, d_2,
+rad, rad1, the Jacobi oracle and the other degree-only answers read.  Only
+factor runs equal-degree splitting, for the callers that need the primes
+named: divisors, the moduli of characters and the residue logs of the
+interval sums.  It draws from a stream seeded by (CZ_SEED, input encoding)
+on its first draw, so every factorization is reproducible and independent
+of call order; degree-1 parts are split by root scan, with no randomness.
+factor and the split are memoised in bounded LRUs
+(config.FACTOR_CACHE_SIZE), so the routes that ask about the same
+polynomial factor or split it once.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    @property
-    def omega(self) -> int:
-        """Number of distinct irreducible factors."""
-        return len(self.factors)
-
 
 def pth_root(f: Poly) -> Poly:
     """The g with g^p = f, for f whose derivative vanishes."""
@@ -83,19 +81,19 @@ def _squarefree_parts(f: Poly) -> dict[Poly, int]:
     with prod part^mult = f.  Standard characteristic-p routine with
     p-th-root descent for vanishing derivatives."""
     ctx = f.ctx
-    fp = _deriv(ctx, f.coeffs)
-    if fp and _gcd(ctx, f.coeffs, fp) == (1,):
-        return {f: 1}  # already squarefree, the common case
-    p = ctx.p
     result: dict[Poly, int] = {}
     n = 1
     while f.degree >= 1:
-        fp = f.derivative()
-        if fp.is_zero:
+        fp = _deriv(ctx, f.coeffs)
+        if not fp:
             f = pth_root(f)
-            n *= p
+            n *= ctx.p
             continue
-        g = gcd(f, fp)
+        g = _gcd(ctx, f.coeffs, fp)
+        if g == (1,):  # f is squarefree, the common case
+            result[f] = n
+            break
+        g = Poly._raw(ctx, g)
         w = f // g
         i = 1
         while w.degree >= 1:
@@ -251,8 +249,8 @@ def rad(f: Poly) -> Poly:
     if f.is_zero:
         raise ValueError("rad of zero is undefined")
     out = Poly.one(f.ctx)
-    for prime, _ in factor(f).factors:
-        out = out * prime
+    for prod, _, _ in distinct_degree_split(f.monic()):
+        out = out * prod
     return out
 
 
@@ -261,9 +259,9 @@ def rad1(f: Poly) -> Poly:
     if f.is_zero:
         raise ValueError("rad1 of zero is undefined")
     out = Poly.one(f.ctx)
-    for prime, mult in factor(f).factors:
+    for prod, _, mult in distinct_degree_split(f.monic()):
         if mult % 2:
-            out = out * prime
+            out = out * prod
     return out
 
 
@@ -284,6 +282,6 @@ def divisors(f: Poly) -> list[Poly]:
 def divisor_count(f: Poly) -> int:
     """Number of monic divisors (the d_2 function)."""
     n = 1
-    for _, mult in factor(f).factors:
-        n *= mult + 1
+    for prod, d, mult in distinct_degree_split(f.monic()):
+        n *= (mult + 1) ** (prod.degree // d)
     return n

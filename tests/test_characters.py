@@ -10,6 +10,7 @@ from ffmobius import (
     characters_mod,
     euler_phi,
     gcd,
+    inverse_mod,
     is_squarefree,
     jacobi,
     jacobi_character,
@@ -158,6 +159,27 @@ def test_additive_orthogonality_squarefree(d, gf3):
             psi = AdditiveCharacter(ring, ring.poly(hidx))
             total = sum(psi(ring.poly(i)) for i in range(ring.size))
             assert abs(total) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["irreducible", "composite"])
+def test_inv_index_matches_inverse_mod(case, gf3, gf9):
+    """Each unit pair {x, x^-1} is set by one extended gcd; every unit's
+    entry must still be its inverse_mod, and every non-unit's -1."""
+    if case == "irreducible":
+        M = next(irreducibles(gf3, 5))
+    else:
+        M = Poly(gf9, [2, 0, 0, 0, 1])  # T^4 + 2, a product of four primes
+    ring = characters.ResidueRing(M)
+    units = []
+    for idx in range(ring.size):
+        r = ring.poly(idx)
+        if gcd(r, M).degree == 0:
+            units.append(idx)
+            assert ring.poly(ring.inv_index[idx]) == inverse_mod(r, M)
+        else:
+            assert ring.inv_index[idx] == -1
+    assert ring.units == tuple(units)
+    assert len(units) == euler_phi(M)
 
 
 def test_trace_matches_matrix_trace(gf9):

@@ -239,22 +239,24 @@ def test_singular_series_past_decimal_digit_limit(capsys):
 
 def test_repeated_calls_share_one_field_and_the_factor_memo():
     """51 decompose calls in one process build GF(3) once, and every call
-    after the first is served from the factor memo."""
+    after the first is served from the factor module's memos: factor's and
+    the distinct-degree split's, which rad and rad1 read."""
     script = """
 import contextlib, gc, importlib, io
 from ffmobius.cli import main
 from ffmobius.field import FieldCtx
-memo = importlib.import_module("ffmobius.factor")._factor
+factor_mod = importlib.import_module("ffmobius.factor")
+memos = (factor_mod._factor, factor_mod._split)
 argv = ["decompose", "--q", "3", "--a", "T^4", "--M", "1", "--rprime", "0", "--d", "3", "--verify"]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(argv) == 0
-    first = memo.cache_info()
+    first = [memo.cache_info() for memo in memos]
     for _ in range(50):
         assert main(argv) == 0
-last = memo.cache_info()
+last = [memo.cache_info() for memo in memos]
 gc.collect()
 live = sum(isinstance(o, FieldCtx) and o.q == 3 for o in gc.get_objects())
-print(live, last.misses - first.misses, last.hits - first.hits)
+print(live, sum(b.misses - a.misses for a, b in zip(first, last)), sum(b.hits - a.hits for a, b in zip(first, last)))
 """
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
