@@ -46,7 +46,7 @@ from .factor import (
     rad,
     rad1,
 )
-from .field import FieldCtx, dlog, field_new, quad_char
+from .field import FieldCtx, field_new
 from .poly import (
     Poly,
     discriminant,

@@ -369,6 +369,13 @@ class AdditiveCharacter:
     def modulus(self) -> Poly:
         return self.ring.M
 
+    @property
+    def is_trivial(self) -> bool:
+        """psi_h = 1 on every residue: Tr(h x) = 0 for all x.  For squarefree M
+        that means h = 0 mod M; otherwise the trace form is degenerate and a
+        nonzero h can give it too (h = T mod T^2, or h = 1 mod T^3 over GF(3))."""
+        return not self.gram[:, 0].any()
+
     def exponent_index(self, idx: int) -> int:
         return self._table[idx]
 
@@ -414,11 +421,11 @@ def rational_kloosterman_aggregate(
 ) -> tuple[complex, float, bool]:
     """Aggregate sum_x S(R_b(x), z) for the six-shift rational map R_b.
 
-    b = (b1, b2, b3, b1', b2', b3').  For prime M and a nondegenerate shift
-    tuple (no S_3 matching between the two halves, nor the characteristic-3
-    all-equal configuration) the sum is asserted against 16|A|; otherwise
-    only the trivial |A|^2 bound applies.  psi, psi_1 by default, must be a
-    character mod M.
+    b = (b1, b2, b3, b1', b2', b3').  For prime M, a nontrivial psi and a
+    nondegenerate shift tuple (no S_3 matching between the two halves, nor
+    the characteristic-3 all-equal configuration) the sum is asserted
+    against 16|A|; otherwise only the trivial |A|^2 bound applies.  psi,
+    psi_1 by default, must be a character mod M.
     """
     if len(b) != 6:
         raise ValueError("b must be a 6-tuple of shifts")
@@ -453,20 +460,23 @@ def rational_kloosterman_aggregate(
     value = RootOfUnitySum(p, counts.tolist()).to_complex()
 
     a_size = float(ring.size)
-    if is_irreducible(ring.M) and not degenerate:
+    if is_irreducible(ring.M) and not degenerate and not psi.is_trivial:
         bound = 16.0 * a_size
     else:
         bound = a_size * a_size
     return value, bound, abs(value) <= bound + 1e-9
 
 
-def c_sum(M: Poly, psi: AdditiveCharacter, g: Poly, h: Poly) -> tuple[complex, float, bool]:
+def c_sum(M: Poly, psi: AdditiveCharacter, g: Poly, h: Poly) -> tuple[complex, float | None, bool | None]:
     """C(g, h) = sum over units z of psi(g z^{-1}) e_p(Tr(h z)), checked
-    against the divisor-function square-root bound."""
+    against the divisor-function square-root bound.  The bound holds for
+    squarefree M and a nontrivial psi only; elsewhere bound and ok are None."""
     ring = _ring_of(M, psi)
     ctx = ring.ctx
     counts = _unit_counts(ring, psi.weights[ring.index(g)], ring.trace_weights(h.coeffs))
     value = RootOfUnitySum(ctx.p, counts.tolist()).to_complex()
+    if psi.is_trivial or not is_squarefree(ring.M):
+        return value, None, None
 
     mgh = gcd(gcd(ring.M, g), h).monic()
     bound = divisor_count(ring.M) * math.sqrt(float(ring.size) * float(ctx.q**mgh.degree))

@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,6 +42,18 @@ def _poly(flag, **kwargs):
     # parse_poly is looked up per call, so wrappers installed on the module
     # attribute (perfbench/spans.py) still see every call
     return _arg(flag, lambda ctx, raw: parse_poly(ctx, raw), **kwargs)
+
+
+def _finite(raw: str) -> float:
+    """A float flag that takes finite values only: inf would overflow or
+    print as Infinity, which is not JSON."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_pairs(ctx, raw_pairs):
@@ -148,11 +161,11 @@ REGISTRY = {
         "count of a+gM of shape lambda A B^2",
         lambda ctx, a: experiments.square_class_count(ctx, a.d, a.M, a.A, a.a, alpha=a.alpha),
         (_poly("--M", default="1"), _poly("--A", default="1"), _poly("--a", default="0"),
-         _arg("--alpha", type=float, default=0.25)), sweep="d"),
+         _arg("--alpha", type=_finite, default=0.25)), sweep="d"),
     "sign-change": Experiment(
         "search both Mobius signs among cube perturbations",
         lambda ctx, a: experiments.sign_change_search(a.f, a.eta),
-        (_poly("--f", required=True), _arg("--eta", type=float, default=0.5))),
+        (_poly("--f", required=True), _arg("--eta", type=_finite, default=0.5))),
     "prime-power-ap": Experiment(
         "Mobius sum over f = 1 mod P^n",
         lambda ctx, a: experiments.mobius_prime_power_ap(ctx, a.D, a.P, a.n),

@@ -26,7 +26,7 @@ from .config import FIELD_CACHE_SIZE, PAIR_TABLE_CAP, field_table_cap
 from .errors import ResourceLimitError
 from .poly import _digits, _index, _is_irreducible, _mod, _mul, _powmod, _trim
 
-__all__ = ["FieldCtx", "field_new", "cyclic_group", "pair_tables", "quad_char", "dlog"]
+__all__ = ["FieldCtx", "field_new", "cyclic_group", "pair_tables"]
 
 
 def _is_prime_int(n: int) -> bool:
@@ -321,10 +321,3 @@ def _build(p: int, k: int, mod: tuple[int, ...]) -> FieldCtx:
         ctx.add_table, ctx.mul_table = add.ravel().tolist(), mul.ravel().tolist()
     return ctx
 
-
-def quad_char(ctx: FieldCtx, x: int) -> int:
-    return ctx.quad_char(x)
-
-
-def dlog(ctx: FieldCtx, x: int) -> int:
-    return ctx.dlog(x)

@@ -1,4 +1,5 @@
 import cmath
+import random
 
 import pytest
 
@@ -327,6 +328,43 @@ def test_aggregate_kloosterman_nondegenerate_bound(gf5):
                     checked += 1
     assert checked >= 100
 
+
+
+# (p, deg M): every monic M and every psi_h; every (g, h) when |A| <= 9,
+# else g and h in {0, 1, T}
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1), (7, 1), (3, 3), (5, 2)])
+def test_unit_sums_claim_bounds_only_in_their_domain(p, m):
+    """ok is never False, and None outside each bound's domain: C(g, h)
+    claims its bound for squarefree M and a nontrivial psi, and the Weil
+    bound for prime M, a nontrivial psi and x, z != 0; the aggregate falls
+    back to the trivial |A|^2 bound for a trivial psi."""
+    from ffmobius import field_new, is_irreducible
+    from ffmobius.experiments import kloosterman_report
+
+    ctx = field_new(p)
+    rng = random.Random(100 * p + m)
+    for M in monics(ctx, m):
+        ring = residue_ring(M)
+        residues = [ring.poly(i) for i in range(ring.size)]
+        args = residues if ring.size <= 9 else [ring.poly(i) for i in (0, 1, p)]
+        squarefree, prime = is_squarefree(M), is_irreducible(M)
+        for k in residues:
+            psi = AdditiveCharacter(ring, k)
+            assert psi.is_trivial == all(psi.exponent(x) == 0 for x in residues)
+            assert not squarefree or psi.is_trivial == k.is_zero
+            for g in args:
+                for h in args:
+                    _, bound, ok = c_sum(M, psi, g, h)
+                    assert ok is (True if squarefree and not psi.is_trivial else None)
+                    weil = kloosterman_report(M, g, h, k)
+                    claimed = prime and not psi.is_trivial and not (g.is_zero or h.is_zero)
+                    assert weil.ok is (True if claimed else None)
+            if m <= 2:
+                b = tuple(rng.choice(residues) for _ in range(6))
+                _, bound, ok = rational_kloosterman_aggregate(M, b, rng.choice(residues), psi)
+                assert ok
+                if psi.is_trivial:
+                    assert bound == ring.size**2
 
 
 def test_sums_reject_a_character_of_another_modulus(gf5):

@@ -128,11 +128,17 @@ def test_principal_char_rejected(capsys):
     (["derivative-ratio", "--q", "3", "--M", "T", "--d", "-1"], {}),
     (["main-term", "--q", "3", "--M", "T", "--d", "-2"], {}),
     (["mobius-inv-additive", "--q", "3", "--M", "T", "--d", "-1"], {}),
+    (["sign-change", "--q", "3", "--f", "T^20", "--eta", "inf"], {}),
+    (["sign-change", "--q", "3", "--f", "T^20", "--eta=-inf"], {}),
+    (["sign-change", "--q", "3", "--f", "T^20", "--eta", "nan"], {}),
+    (["square-class", "--q", "3", "--d", "2", "--alpha", "inf"], {}),
+    (["square-class", "--q", "3", "--d", "2", "--alpha", "nan"], {}),
 ], ids=["twin-a0", "table-cap-env", "past-table-cap", "char-idx", "char-selector",
         "no-degree", "no-field", "five-shifts", "reversed-d-range", "one-ended-d-range",
         "q-no-degree", "q-no-prime", "q-bad-degree", "unknown-flag", "non-integer-d",
         "no-subcommand", "chowla-negative-d", "corr-negative-d", "derivative-d0",
-        "derivative-negative-d", "main-term-negative-d", "inv-additive-negative-d"])
+        "derivative-negative-d", "main-term-negative-d", "inv-additive-negative-d",
+        "eta-inf", "eta-minus-inf", "eta-nan", "alpha-inf", "alpha-nan"])
 def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     """Bad input is a usage or domain error: exit 2, a single stderr line,
     no traceback and no report; exit 1 stays reserved for a failed bound."""
@@ -153,6 +159,20 @@ def test_kloosterman_and_c_sum(capsys):
     assert code == 0
     (rep,) = jlines(out)
     assert rep["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["kloosterman", "--q", "5", "--M", "T^2+2", "--psi-h", "0"],
+    ["c-sum", "--q", "5", "--M", "T^2+2", "--psi-h", "0"],
+    ["c-sum", "--q", "5", "--M", "T^2", "--psi-h", "T"],
+], ids=["kloosterman-trivial-psi", "c-sum-trivial-psi", "c-sum-square-modulus"])
+def test_no_bound_is_claimed_outside_its_domain(argv, capsys):
+    """A trivial psi, or C(g, h) mod a non-squarefree M, has no bound to
+    fail: the report is advisory and the exit status 0, not 1."""
+    code, out = run(capsys, *argv)
+    assert code == 0
+    (rep,) = jlines(out)
+    assert rep["ok"] is None and rep["reference"] is None and rep["ratio"] is None
 
 
 def test_kloosterman_aggregate_cli(capsys):

@@ -9,7 +9,7 @@ from ffmobius import Poly, field_new, mobius, mobius_oracle, monics, sieve, von_
 from ffmobius.errors import ResourceLimitError
 from ffmobius.experiments import chowla_sum, mobius_lambda_corr, twin_count
 from ffmobius.factor import is_irreducible
-from ffmobius.poly import monic_from_index, poly_index
+from ffmobius.poly import monic_from_index, parse_poly, poly_index
 from ffmobius.sieve import (
     affine_index_map,
     bulk_available,
@@ -104,13 +104,13 @@ def test_sieve_makes_one_kernel_call_per_batch(gf3, monkeypatch):
     sizes = []
     kernel = sieve._affine_index
 
-    def traced(ctx, a, Ms, e, d_out):
-        idx = kernel(ctx, a, Ms, e, d_out)
+    def traced(ctx, rows, e, d_out):
+        idx = kernel(ctx, rows, e, d_out)
         sizes.append(idx.size)
         # each batch holds the primes of one degree dp <= d/2, or their squares
-        (dp, j), = {kinds[tuple(M)] for M in Ms}
+        (dp, j), = {kinds[tuple(M)] for _, M in rows}
         assert d_out == d and e <= d - j * dp
-        for M, block in zip(Ms, np.split(idx, len(Ms))):
+        for (_, M), block in zip(rows, np.split(idx, len(rows))):
             digests[tuple(M)].update(block.tobytes())
         return idx
 
@@ -125,6 +125,51 @@ def test_sieve_makes_one_kernel_call_per_batch(gf3, monkeypatch):
         direct = affine_index_map(gf3, Poly.zero(gf3), Poly(gf3, list(P)), d - j * dp)[1]
         assert digests[P].digest() == hashlib.sha256(direct.tobytes()).digest()
     assert int(tables[0].sum()) == 0  # the Mobius sum over a degree >= 2
+
+
+@pytest.mark.parametrize("ctxname,d,most", [("gf9", 7, 46), ("gf3", 14, 98)])
+def test_cold_build_kernel_calls(ctxname, d, most, request, monkeypatch):
+    """A cold mobius_table build, the nested builds of its primes included,
+    sends _SLAB // q^(e-t) rows per kernel call, and no call returns more
+    than _SLAB entries."""
+    ctx = request.getfixturevalue(ctxname)
+    sizes = []
+    kernel = sieve._affine_index
+
+    def traced(*args):
+        idx = kernel(*args)
+        sizes.append(idx.size)
+        return idx
+
+    monkeypatch.setattr(sieve, "_affine_index", traced)
+    sieve._sieve.cache_clear()
+    primes_of_degree.cache_clear()
+    table = mobius_table(ctx, d)
+    monkeypatch.undo()
+    assert len(sizes) <= most
+    assert max(sizes) <= sieve._SLAB
+    assert int(table.sum()) == 0  # the Mobius sum over a degree >= 2
+
+
+# terms that the sieve rejects, as (a, M) literals over GF(3); e = 2
+BAD_TERMS = {
+    "dominant-a-not-monic": [("mu", "0", "T^2"), ("mu", "2*T^5", "1")],
+    "degree-collision": [("lambda", "T^3+1", "T")],
+    "M-not-monic": [("mu", "1", "2*T")],
+}
+
+
+@pytest.mark.parametrize("name", BAD_TERMS)
+def test_loop_route_rejects_the_terms_the_tables_reject(gf3, name, monkeypatch):
+    """Every term is checked before a route is picked, so above the caps the
+    per-polynomial loop raises the table route's ValueError."""
+    terms = [(kind, parse_poly(gf3, a), parse_poly(gf3, M)) for kind, a, M in BAD_TERMS[name]]
+    with pytest.raises(ValueError) as table:
+        progression_sum(gf3, 2, terms)
+    monkeypatch.setattr(sieve, "bulk_available", lambda ctx, degree: False)
+    with pytest.raises(ValueError) as loop:
+        progression_sum(gf3, 2, terms)
+    assert str(loop.value) == str(table.value)
 
 
 # (field, degree): the pure powers P^(d/deg P) of degree d, cubes and higher among them
@@ -575,14 +620,20 @@ def _prime_powers(ctx, dp, j):
     ("gf3", 3, 1, 0),
 ], ids=["gf3-deg2", "gf3-squares", "gf9", "gf4", "gf4-cubes", "e0"])
 def test_batched_kernel_joins_single_calls(ctxname, dp, j, e, request):
+    """A batch of rows (offset, M) gives the blocks of its rows one by one:
+    the sieve's own rows of offset 0, rows that share M and differ in the
+    offset, and rows that differ in both."""
     ctx = request.getfixturevalue(ctxname)
     Ms = _prime_powers(ctx, dp, j)
     d_out = e + dp * j
-    batch = sieve._affine_index(ctx, (), Ms, e, d_out)
-    singles = [sieve._affine_index(ctx, (), [M], e, d_out) for M in Ms]
-    assert len(Ms) > 1
-    assert batch.dtype == np.int64
-    assert np.array_equal(batch, np.concatenate(singles))
+    rng = random.Random(ctx.q * 100 + d_out)
+    offsets = [_random_poly(ctx, rng, d_out).coeffs for _ in Ms]
+    for rows in ([((), M) for M in Ms], [(a, Ms[0]) for a in offsets], list(zip(offsets, Ms))):
+        batch = sieve._affine_index(ctx, rows, e, d_out)
+        singles = [sieve._affine_index(ctx, [row], e, d_out) for row in rows]
+        assert len(rows) > 1
+        assert batch.dtype == np.int64
+        assert np.array_equal(batch, np.concatenate(singles))
 
 
 # (field, a, M, e, degree of a + g*M); coefficients low first
