@@ -13,10 +13,13 @@ other.
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .factor import distinct_degree_split
+from .field import _int_factorization
 from .poly import Poly, discriminant, ext_gcd, gcd, monics, resultant
 from .poly import _pow_qsum  # tuple kernel
 
@@ -157,18 +160,8 @@ class SingularSeriesApprox:
 
 
 def _mobius_int(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+    exponents = _int_factorization(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def _irreducible_count(q: int, n: int) -> int:
@@ -184,23 +177,30 @@ def _irreducible_count(q: int, n: int) -> int:
 def _euler_product(q: int, N: int, histogram: tuple[tuple[int, int], ...]) -> Fraction:
     """The truncated Euler product of singular_series, which depends on the
     shift only through histogram, the sorted (deg P, count) histogram of its
-    prime divisors of degree <= N.  Memoised: the reduced Fraction of a
-    large N costs one gcd of numbers of tens of thousands of bits."""
+    prime divisors of degree <= N.
+
+    A dividing prime of degree d contributes q^d / (q^d - 1), a generic one
+    q^d (q^d - 2) / (q^d - 1)^2, so the exponents of the primes of q^d,
+    q^d - 1 and q^d - 2 cancel to the reduced value: no gcd of the products
+    of tens of thousands of bits is taken."""
     by_degree = dict(histogram)
-    num = 1
-    den = 1
+    exponents: Counter[int] = Counter()
     for d in range(1, N + 1):
         npow = q**d
         dividing = by_degree.get(d, 0)
         generic = _irreducible_count(q, d) - dividing
-        if dividing:
-            num *= npow**dividing
-            den *= (npow - 1) ** dividing
-        if generic:
-            base = (npow - 1) ** 2
-            num *= (base - 1) ** generic
-            den *= base**generic
-    return Fraction(num, den)
+        if npow == 2 and generic:
+            return Fraction(0)  # 1 - (2 - 1)^-2 for T or T + 1 over GF(2)
+        for n, e in ((npow, dividing + generic), (npow - 1, -dividing - 2 * generic), (npow - 2, generic)):
+            for ell, k in _int_factorization(n).items():
+                exponents[ell] += k * e
+    num = math.prod(ell**e for ell, e in exponents.items() if e > 0)
+    den = math.prod(ell**-e for ell, e in exponents.items() if e < 0)
+    # num and den are coprime: set the slots, which every Python from 3.10
+    # on has, since Fraction(num, den) would take their gcd all the same
+    value = Fraction.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
 
 
 def singular_series(a: Poly, N: int, method: str = "euler-product") -> SingularSeriesApprox:

@@ -28,9 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .factor import divisor_count, factor, is_irreducible
-from .field import cyclic_group
+from .field import cyclic_group, structure_constants
 from .poly import Poly, gcd, is_squarefree, poly_from_index
-from .poly import _digits, _ext_gcd, _index, _is_irreducible, _mod, _mul, _resultant, _trim  # tuple kernels
+from .poly import _digits, _ext_gcd, _index, _is_irreducible, _mod, _resultant, _trim  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -66,12 +66,8 @@ class _LocalLogs:
 
     def _build(self) -> None:
         ctx = self.prime.ctx
-        gen, exp = cyclic_group(ctx, self.prime.coeffs)
-        dlog = [-1] * (self.order + 1)
-        for e, v in enumerate(exp):
-            dlog[v] = e
+        gen, _, self._dlog = cyclic_group(ctx, self.prime.coeffs)
         self._generator = Poly(ctx, _digits(ctx.q, gen, self.degree))
-        self._dlog = dlog
 
     @property
     def generator(self) -> Poly:
@@ -239,17 +235,19 @@ def digit_matrix(ctx, m: int) -> np.ndarray:
 
 class ResidueRing:
     """A = F_q[T]/(M) with its unit inventory, its base-p digit matrix and
-    the trace-of-multiplication functional down to F_p.
+    its structure constants as an F_p-algebra.
 
     Residues are addressed by their base-q index; `digits[x]` holds the F_p
     coordinates of x (see digit_matrix).  `unit_digits` stacks the rows
     [d(y^-1) | d(y)] of the units y, in `units` order, so a sum over the
-    units of an exponent linear in y^-1 and y is one matrix product.  No
-    product table is kept: products only enter through AdditiveCharacter's
-    trace form.
+    units of an exponent linear in y^-1 and y is one matrix product.
+    `structure` is field.structure_constants of M: multiplication by a is
+    the matrix sum_l d(a)_l B[l], and the trace of multiplication by e_l,
+    the residue of index p^l, is the diagonal sum of B[l].  No product
+    table is kept: products only enter through the trace form.
     """
 
-    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "digits", "unit_digits", "basis", "_trace_vec")
+    __slots__ = ("ctx", "M", "m", "size", "units", "inv_index", "digits", "unit_digits", "structure")
 
     def __init__(self, M: Poly):
         if M.is_zero or M.degree < 1:
@@ -275,18 +273,7 @@ class ResidueRing:
         self.digits = digit_matrix(ctx, self.m)
         y = np.array(self.units)
         self.unit_digits = np.hstack((self.digits[np.array(inv_index)[y]], self.digits[y])).astype(np.int64)
-        # e_i, the residue of index p^i, as a coefficient tuple
-        self.basis = tuple(poly_from_index(ctx, ctx.p**i, self.m).coeffs for i in range(self.digits.shape[1]))
-        # trace of multiplication by T^i, as an F_q element, for i < m
-        tvec = []
-        for i in range(self.m):
-            acc = 0
-            for j in range(self.m):
-                r = _mod(ctx, (0,) * (i + j) + (1,), mc)
-                if len(r) > j:
-                    acc = ctx.add(acc, r[j])
-            tvec.append(acc)
-        self._trace_vec = tuple(tvec)
+        self.structure = structure_constants(ctx, mc)
 
     def index(self, f: Poly) -> int:
         return _index(self.ctx.q, _mod(self.ctx, f.coeffs, self.M.coeffs))
@@ -295,19 +282,15 @@ class ResidueRing:
         return poly_from_index(self.ctx, idx, self.m)
 
     def trace_to_prime(self, coeffs) -> int:
-        """Full F_p-algebra trace of multiplication by x, in [0, p)."""
-        ctx = self.ctx
-        acc = 0
-        for c, t in zip(coeffs, self._trace_vec):
-            if c:
-                acc = ctx.add(acc, ctx.mul(c, t))
-        return ctx.trace_to_prime(acc)
+        """Full F_p-algebra trace of multiplication by x mod M, in [0, p)."""
+        return int(self.trace_weights(coeffs)[0])  # e_0 = 1
 
     def trace_weights(self, coeffs) -> np.ndarray:
         """Tr(a e_i) for every basis residue e_i, a the residue of `coeffs`:
         the weights of the F_p-linear form u -> Tr(a u) on the digit rows."""
-        ctx, mc = self.ctx, self.M.coeffs
-        return np.array([self.trace_to_prime(_mod(ctx, _mul(ctx, coeffs, e), mc)) for e in self.basis])
+        B = self.structure
+        a = self.digits[_index(self.ctx.q, _mod(self.ctx, coeffs, self.M.coeffs))]
+        return np.tensordot(a, B, 1) @ np.einsum("lii->l", B) % self.ctx.p
 
 
 @lru_cache(maxsize=128)
@@ -347,9 +330,9 @@ class AdditiveCharacter:
 
     (x, u) -> Tr(h x u) is an F_p-bilinear form on the ring's digit rows,
     with Gram matrix gram[i][j] = Tr(h e_i e_j), e_i the residue of index
-    p^i; building it takes (mk)^2 products.  weights[x] = d(x) @ gram mod p
-    are the coefficients of u -> Tr(h x u), a dot product with d(u), and
-    column 0 (u = 1) is psi's own exponent table.
+    p^i: the ring's structure constants B times the trace weights of h.
+    weights[x] = d(x) @ gram mod p are the coefficients of u -> Tr(h x u),
+    a dot product with d(u), and column 0 (u = 1) is psi's own exponent table.
 
     `exponent` returns the integer Tr(h x) in [0, p) for exact accumulation;
     calling the character returns the complex value.
@@ -360,9 +343,8 @@ class AdditiveCharacter:
     def __init__(self, ring: ResidueRing, h: Poly):
         self.ring = ring
         self.h = h % ring.M
-        ctx = ring.ctx
-        self.gram = np.array([ring.trace_weights(_mul(ctx, self.h.coeffs, e)) for e in ring.basis])
-        self.weights = ring.digits @ self.gram % ctx.p
+        self.gram = ring.structure @ ring.trace_weights(self.h.coeffs) % ring.ctx.p
+        self.weights = ring.digits @ self.gram % ring.ctx.p
         self._table = self.weights[:, 0].tolist()
 
     @property

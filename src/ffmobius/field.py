@@ -7,10 +7,11 @@ tables (plus flat q*q add/mul pair tables for small extension fields) and
 is immutable after construction, so it can be shared freely across workers.
 field_new interns contexts, so caches elsewhere key on the context itself.
 
-Every finite field is built one way: GF(p^k) for k > 1 and the residue
-fields F_q[T]/(P) of characters.local_logs both take their smallest
-primitive residue and its power table from cyclic_group, which runs on
-the poly tuple kernels over the base field.
+Every finite field, GF(p^k) or a residue field F_q[T]/(P) of
+characters.local_logs (through cyclic_group), is built one way from its
+structure constants as an F_p-algebra (GF(p) is the 1 x 1 case): powers
+of a multiplication matrix find the smallest primitive residue, doubling
+fills its power table and one scatter its dlog.
 
 The quadratic character is only defined for odd characteristic; p = 2
 contexts support the generic ring operations but reject quad_char.
@@ -24,37 +25,22 @@ import numpy as np
 
 from .config import FIELD_CACHE_SIZE, PAIR_TABLE_CAP, field_table_cap
 from .errors import ResourceLimitError
-from .poly import _digits, _index, _is_irreducible, _mod, _mul, _powmod, _trim
+from .poly import _digits, _index, _is_irreducible, _mod, _mul, _trim
 
-__all__ = ["FieldCtx", "field_new", "cyclic_group", "pair_tables"]
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+__all__ = ["FieldCtx", "field_new", "cyclic_group", "pair_tables", "structure_constants"]
 
 
-def _int_prime_factors(n: int) -> list[int]:
-    out = []
+def _int_factorization(n: int) -> dict[int, int]:
+    """{prime: exponent} of n by trial division; {} for n < 2."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = 1
     return out
 
 
@@ -193,31 +179,76 @@ class FieldCtx:
         return f"FieldCtx(GF({self.p}^{self.k}), modulus={list(self.modulus)})"
 
 
-def cyclic_group(ctx: FieldCtx, f: tuple[int, ...]) -> tuple[int, list[int]]:
-    """The unit group of F = ctx[T]/(f), for f monic irreducible: the
-    smallest primitive residue in encoding order (as a base-q index) and its
-    power table, exp[i] = index of generator^i for i < |F| - 1.  A
-    reducible f raises ValueError."""
-    q, d = ctx.q, len(f) - 1
-    order = q**d - 1
-    ells = _int_prime_factors(order)
-    one = (1,)
-    for idx in range(1, order + 1):
-        g = _trim(_digits(q, idx, d))
-        if all(_powmod(ctx, g, order // ell, f) != one for ell in ells):
+def structure_constants(ctx: FieldCtx, f: tuple[int, ...]) -> np.ndarray:
+    """The F_p-algebra ctx[T]/(f), f monic of degree d >= 1, by its structure
+    constants: B[i, j] holds the n = kd base-p digits of e_i e_j mod f, e_i
+    the residue of index p^i (the coordinates of characters.digit_matrix).
+    Multiplication by y is the matrix sum_l d(y)_l B[l] on digit rows, d(y)
+    the digits of y's index."""
+    p, q, d = ctx.p, ctx.q, len(f) - 1
+    n = ctx.k * d
+    basis = [_trim(_digits(q, p**i, d)) for i in range(n)]
+    B = np.empty((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1):
+            B[i, j] = B[j, i] = _digits(p, _index(q, _mod(ctx, _mul(ctx, basis[i], basis[j]), f)), n)
+    return B
+
+
+def _unit_group(p: int, B: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The unit group of the F_p-algebra with structure constants B, if it
+    is a field: its smallest primitive residue g in encoding order, the power
+    table exp[i] = index of g^i for i < p^n - 1, and dlog, the inverse of
+    exp, with dlog[0] = -1.  ValueError if the algebra is not a field."""
+    n = len(B)
+    order = p**n - 1
+    pw = p ** np.arange(n, dtype=np.int64)
+    one = np.eye(n, dtype=np.int64)
+
+    def power(mat, e):  # the matrix of y^e, from the matrix of y
+        out = one
+        while e:
+            if e & 1:
+                out = out @ mat % p
+            mat = mat @ mat % p
+            e >>= 1
+        return out
+
+    ells = _int_factorization(order)
+    for g in range(1, order + 1):
+        mat = np.tensordot(g // pw % p, B, 1) % p
+        if all((power(mat, order // ell) != one).any() for ell in ells):
             break
     else:
         raise ValueError("no primitive residue: the modulus is reducible")
-    exp = [1] * order
-    acc = one
-    for i in range(1, order):
-        acc = _mod(ctx, _mul(ctx, g, acc), f)
-        exp[i] = _index(q, acc)
     # g passed the primitivity test, so g^order = 1 only if the units have
-    # order q^d - 1, i.e. f is irreducible
-    if _mod(ctx, _mul(ctx, g, acc), f) != one:
+    # order p^n - 1, i.e. the algebra is a field
+    if (power(mat, order) != one).any():
         raise ValueError("no primitive residue: the modulus is reducible")
-    return idx, exp
+    # doubling, exp[m:2m] = exp[:m] g^m, with mat the matrix of g^m; digit
+    # rows are formed 2^16 at a time, so they never outweigh exp itself
+    exp = np.empty(order, dtype=np.int64)
+    exp[0] = 1
+    m = 1
+    while m < order:
+        top = min(m, order - m)
+        for s in range(0, top, 1 << 16):
+            x = exp[s : min(s + (1 << 16), top)]
+            exp[m + s : m + s + len(x)] = (x[:, None] // pw % p) @ mat % p @ pw
+        mat = mat @ mat % p
+        m += top
+    dlog = np.full(order + 1, -1, dtype=np.int64)
+    dlog[exp] = np.arange(order)
+    return g, exp, dlog
+
+
+def cyclic_group(ctx: FieldCtx, f: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """The unit group of F = ctx[T]/(f), for f monic irreducible: the
+    smallest primitive residue in encoding order (as a base-q index), its
+    power table exp[i] = index of generator^i for i < |F| - 1, and dlog,
+    the inverse of exp with dlog[0] = -1.  A reducible f raises ValueError."""
+    g, exp, dlog = _unit_group(ctx.p, structure_constants(ctx, f))
+    return g, exp.tolist(), dlog.tolist()
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -251,7 +282,7 @@ def field_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
     it stays among the last FIELD_CACHE_SIZE built.  Every call fails with
     ResourceLimitError once q exceeds the table cap (FFMOBIUS_TABLE_CAP).
     """
-    if not _is_prime_int(p):
+    if _int_factorization(p) != {p: 1}:
         raise ValueError(f"characteristic {p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
@@ -280,39 +311,24 @@ def _default_modulus(p: int, k: int) -> tuple[int, ...]:
 def _build(p: int, k: int, mod: tuple[int, ...]) -> FieldCtx:
     """GF(p^k) = F_p[x]/(mod), for mod monic of degree k; ValueError if
     mod is reducible."""
-    q = p**k
     if k == 1:
-        # GF(p) is the integers mod p: no base field to run cyclic_group over
-        ells = _int_prime_factors(p - 1)
-        generator = next(g for g in range(1, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in ells))
-        exp_table = [1] * (p - 1)
-        for i in range(1, p - 1):
-            exp_table[i] = exp_table[i - 1] * generator % p
+        structure = np.ones((1, 1, 1), dtype=np.int64)  # e_0 = 1 spans GF(p)
     else:
         gfp = _build(p, 1, (0, 1))
         if not _is_irreducible(gfp, mod):
             raise ValueError("modulus is reducible over GF(p)")
-        generator, exp_table = cyclic_group(gfp, mod)
+        structure = structure_constants(gfp, mod)
+    generator, exp, dlog = _unit_group(p, structure)
 
-    dlog_table = [-1] * q
-    for i, v in enumerate(exp_table):
-        dlog_table[v] = i
-
-    inv_table = [0] * q
-    for x in range(1, q):
-        inv_table[x] = exp_table[(q - 1 - dlog_table[x]) % (q - 1)]
-
-    # -x = (-1) * x, and -1 is the constant p - 1
-    neg_one = dlog_table[p - 1]
-    neg_table = [0] * q
-    for x in range(1, q):
-        neg_table[x] = exp_table[(dlog_table[x] + neg_one) % (q - 1)]
-
-    quad_char_table = None
-    if p != 2:
-        quad_char_table = [0] * q
-        for x in range(1, q):
-            quad_char_table[x] = 1 if dlog_table[x] % 2 == 0 else -1
+    # x^-1 = g^-dlog(x), -x = g^(dlog(x) + dlog(-1)), (x/p) = (-1)^dlog(x);
+    # the tables are lists of one pool of int objects, one per value below q
+    q = p**k
+    inv, neg = exp[-dlog % (q - 1)], exp[(dlog + dlog[p - 1]) % (q - 1)]
+    inv[0] = neg[0] = 0
+    pool = np.arange(q).astype(object)
+    exp_table, dlog_table, inv_table, neg_table = (pool[t].tolist() for t in (exp, dlog, inv, neg))
+    dlog_table[0] = -1
+    quad_char_table = None if p == 2 else [0] + (1 - 2 * (dlog[1:] & 1)).tolist()
 
     ctx = FieldCtx(p, k, mod, generator, exp_table, dlog_table,
                    quad_char_table, inv_table, neg_table, None, None)

@@ -219,6 +219,34 @@ def _euler_product_per_prime(a, N):
     return value
 
 
+def _euler_product_fraction(q, N, histogram):
+    """The truncated Euler product as one Fraction of the full products."""
+    by_degree = dict(histogram)
+    num = den = 1
+    for d in range(1, N + 1):
+        npow = q**d
+        dividing = by_degree.get(d, 0)
+        generic = arith._irreducible_count(q, d) - dividing
+        base = (npow - 1) ** 2
+        num *= npow**dividing * (base - 1) ** generic
+        den *= (npow - 1) ** dividing * base**generic
+    return Fraction(num, den)
+
+
+def test_euler_product_cancels_to_the_reduced_fraction():
+    """Cancelling prime exponents gives the reduced Fraction of the full
+    products, with and without dividing primes, and 0 where GF(2)'s
+    linear primes are generic."""
+    cases = [(2, 1, ()), (2, 1, ((1, 2),)), (2, 4, ((1, 1), (3, 1))), (3, 1, ()), (3, 8, ()),
+             (3, 6, ((1, 2), (2, 1))), (4, 4, ((2, 3),)), (5, 3, ((1, 5),)), (9, 3, ((1, 1), (3, 2)))]
+    for q, N, histogram in cases:
+        value = arith._euler_product(q, N, histogram)
+        expected = _euler_product_fraction(q, N, histogram)
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert value == expected and hash(value) == hash(expected)
+    assert arith._euler_product(2, 3, ((1, 1),)) == 0
+
+
 def test_singular_series_memo_matches_fresh(gf3, gf9):
     """The memoised Euler product equals a fresh one and a per-prime product,
     and shifts whose prime divisors have the same degrees share one entry."""

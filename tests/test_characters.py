@@ -183,29 +183,39 @@ def test_inv_index_matches_inverse_mod(case, gf3, gf9):
     assert len(units) == euler_phi(M)
 
 
-def test_trace_matches_matrix_trace(gf9):
+def test_trace_matches_matrix_trace(gf3, gf4, gf5, gf9):
     """The evaluation functional equals the trace of the multiplication
-    matrix over F_p, computed here from scratch."""
-    import numpy as np
+    matrix over F_p, computed here from scratch, on reduced and unreduced
+    inputs; psi_h's Gram matrix is Tr(h e_i e_j) of Poly products."""
+    T = {ctx: Poly.t(ctx) for ctx in (gf3, gf4, gf5, gf9)}
+    # T^2 + T over GF(9); T^2 + 1, T^2 and T^3 over GF(3) (the last two not
+    # squarefree); T^3 + T + 1 over GF(4); the prime T^2 + 2 over GF(5)
+    moduli = [T[gf9] ** 2 + T[gf9], T[gf3] ** 2 + Poly.one(gf3), T[gf3] ** 2, T[gf3] ** 3,
+              T[gf4] ** 3 + T[gf4] + Poly.one(gf4), T[gf5] ** 2 + Poly.constant(gf5, 2)]
+    for M in moduli:
+        ctx = M.ctx
+        ring = residue_ring(M)
+        p, k, m = ctx.p, ctx.k, ring.m
+        # F_p-basis of the ring: e_(kj + u) = omega^u T^j, omega the field's
+        # polynomial basis; the matrix trace sums the e_i coordinate of x e_i
+        basis = [Poly(ctx, [0] * j + [ctx.encode([0] * u + [1] + [0] * (k - u - 1))])
+                 for j in range(m) for u in range(k)]
 
-    T = Poly.t(gf9)
-    M = T**2 + T
-    ring = residue_ring(M)
-    p, k, m = 3, gf9.k, ring.m
-    # F_p-basis of the ring: omega^u T^j with omega the field's polynomial
-    # basis; multiplication-by-x matrix entries via coords
-    basis = [(u, j) for j in range(m) for u in range(k)]
-    for xi in range(0, ring.size, 5):
-        x = ring.poly(xi)
-        mat = np.zeros((len(basis), len(basis)), dtype=int)
-        for col, (u, j) in enumerate(basis):
-            e = Poly(gf9, [0] * j + [gf9.encode([0] * u + [1] + [0] * (k - u - 1))])
-            prod = (x * e) % M
-            for jj in range(m):
-                c = prod.coeffs[jj] if jj < len(prod.coeffs) else 0
-                for uu, digit in enumerate(gf9.coords(c)):
-                    mat[basis.index((uu, jj)), col] = digit
-        assert ring.trace_to_prime(x.coeffs) == int(np.trace(mat)) % p
+        def trace(x):
+            total = 0
+            for i, e in enumerate(basis):
+                prod = (x * e) % M
+                c = prod.coeffs[i // k] if i // k < len(prod.coeffs) else 0
+                total += ctx.coords(c)[i % k]
+            return total % p
+
+        # T^m and T^(m+1) + 1 are unreduced: Tr(T^2 mod T^2 + 1) = Tr(-1) = 1 over GF(3)
+        xs = [ring.poly(xi) for xi in range(0, ring.size, 5)] + [T[ctx] ** m, T[ctx] ** (m + 1) + Poly.one(ctx)]
+        for x in xs:
+            assert ring.trace_to_prime(x.coeffs) == trace(x)
+        h = ring.poly(ring.size // 3)
+        gram = AdditiveCharacter(ring, h).gram
+        assert gram.tolist() == [[trace(h * ei * ej) for ej in basis] for ei in basis]
 
 
 def test_kloosterman_examples(gf3):

@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ffmobius import Poly, ResourceLimitError, field_new, is_irreducible
+from ffmobius.factor import irreducibles
+from ffmobius.field import _int_factorization, cyclic_group
+from ffmobius.poly import _digits, _index, _mod, _mul, _powmod, _trim
 
 
 def test_gf3_basics(gf3):
@@ -26,8 +31,56 @@ def test_composite_characteristic_rejected():
 
 
 def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
-        field_new(3, 2, modulus=[0, 0, 1])  # T^2
+    # T^2 over GF(3), (T^2+T+1)^2 over GF(2), (T+2)(T+3) over GF(5)
+    for p, modulus in [(3, (0, 0, 1)), (2, (1, 0, 1, 0, 1)), (5, (1, 0, 1))]:
+        with pytest.raises(ValueError):
+            field_new(p, len(modulus) - 1, modulus=modulus)
+        with pytest.raises(ValueError):
+            cyclic_group(field_new(p), modulus)
+
+
+def _cyclic_group_per_element(ctx, f):
+    """cyclic_group by one _mul/_mod per power: the smallest residue in
+    encoding order that passes the _powmod primitivity test, its powers,
+    and their inverse table."""
+    q, d = ctx.q, len(f) - 1
+    order = q**d - 1
+    ells = _int_factorization(order)
+    g = next(idx for idx in range(1, order + 1)
+             if all(_powmod(ctx, _trim(_digits(q, idx, d)), order // ell, f) != (1,) for ell in ells))
+    exp = [1] * order
+    acc = (1,)
+    gen = _trim(_digits(q, g, d))
+    for i in range(1, order):
+        acc = _mod(ctx, _mul(ctx, gen, acc), f)
+        exp[i] = _index(q, acc)
+    dlog = [-1] * (order + 1)
+    for i, v in enumerate(exp):
+        dlog[v] = i
+    return g, exp, dlog
+
+
+@pytest.mark.parametrize("p, k", [(2, 12), (3, 8), (5, 4), (65537, 1)])
+def test_field_tables_match_per_element_powers(p, k):
+    """Every table of a field outside the golden list, against powers taken
+    one product at a time (GF(p) as F_p[T]/(T))."""
+    ctx = field_new(p, k)
+    g, exp, dlog = _cyclic_group_per_element(field_new(p), ctx.modulus if k > 1 else (0, 1))
+    assert (ctx.generator, ctx.exp_table, ctx.dlog_table) == (g, exp, dlog)
+    assert ctx.inv_table == [0] + [exp[-d] for d in dlog[1:]]
+    assert ctx.neg_table == [_index(p, [-c % p for c in _digits(p, x, k)]) for x in range(ctx.q)]
+    if p != 2:
+        assert ctx.quad_char_table == [0] + [(-1) ** d for d in dlog[1:]]
+
+
+@pytest.mark.parametrize("ctxname, degrees", [("gf4", (1, 2, 3)), ("gf9", (3,))])
+def test_residue_fields_match_per_element_powers(ctxname, degrees, request):
+    """cyclic_group over GF(4), of characteristic 2, and GF(9) in degree 3,
+    against powers taken one product at a time."""
+    ctx = request.getfixturevalue(ctxname)
+    for d in degrees:
+        for P in itertools.islice(irreducibles(ctx, d), 6):
+            assert cyclic_group(ctx, P.coeffs) == _cyclic_group_per_element(ctx, P.coeffs)
 
 
 def test_table_cap(monkeypatch):
