@@ -22,6 +22,7 @@ the end, so the 1e-9 comparison tolerance is never stressed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from functools import lru_cache
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .factor import divisor_count, factor, is_irreducible
 from .field import cyclic_group, structure_constants
-from .poly import Poly, gcd, is_squarefree, poly_from_index
-from .poly import _digits, _ext_gcd, _index, _is_irreducible, _mod, _resultant, _trim  # tuple kernels
+from .poly import Poly, gcd, is_squarefree, poly_from_index, polys_below
+from .poly import _digits, _ext_gcd, _index, _is_irreducible, _mod, _resultant  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -184,8 +185,6 @@ def _squarefree_monic_factors(M: Poly) -> tuple[Poly, ...]:
 def characters_mod(M: Poly):
     """All phi(M) characters mod squarefree monic M: principal first, then
     lexicographic in the exponent vectors."""
-    import itertools
-
     primes = _squarefree_monic_factors(M)
     locs = tuple(local_logs(p) for p in primes)
     for exps in itertools.product(*(range(loc.order) for loc in locs)):
@@ -261,9 +260,9 @@ class ResidueRing:
         mc = M.coeffs
         # one extended gcd per unit pair {x, x^-1}
         inv_index = [-1] * self.size
-        for idx in range(self.size):
+        for idx, x in enumerate(polys_below(ctx, self.m)):
             if inv_index[idx] < 0:
-                g, u, _ = _ext_gcd(ctx, _trim(_digits(ctx.q, idx, self.m)), mc)
+                g, u, _ = _ext_gcd(ctx, x.coeffs, mc)
                 if len(g) == 1:
                     inv = _index(ctx.q, _mod(ctx, u, mc))
                     inv_index[idx] = inv

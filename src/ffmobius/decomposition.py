@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .arith import inverse_mod, mobius, mobius_oracle
 from .characters import DirichletCharacter, quadratic_character_mod
@@ -26,7 +27,7 @@ from .config import FACTOR_CACHE_SIZE
 from .errors import DegenerateClassError
 from .factor import distinct_degree_split, rad, rad1
 from .field import FieldCtx
-from .poly import Poly, gcd, polys_below
+from .poly import Poly, gcd
 
 __all__ = [
     "DecompositionData",
@@ -92,15 +93,16 @@ def derivative_class_rep(ctx: FieldCtx, rprime: Poly, d: int) -> Poly:
 def derivative_class(ctx: FieldCtx, rprime: Poly, d: int):
     """All monic degree-d g with g' = rprime, i.e. r + s^p over s of degree
     < d/p, in encoding order of s."""
-    r = derivative_class_rep(ctx, rprime, d)
+    coeffs = list(derivative_class_rep(ctx, rprime, d).coeffs)
     p = ctx.p
-    width = -(-d // p)  # ceil(d / p)
+    width = -(-d // p)  # ceil(d / p): r is 0 at the exponents p*i < d
     frob = [ctx.frobenius(c) for c in range(ctx.q)]
-    for s in polys_below(ctx, width):
-        # s^p = sum frob(s_i) T^(p*i), since the p-th power map is additive
-        sp = [0] * (p * len(s.coeffs) - p + 1)
-        sp[::p] = [frob[c] for c in s.coeffs]
-        yield r + Poly._raw(ctx, tuple(sp))
+    # s^p = sum frob(s_i) T^(p*i), since the p-th power map is additive, so a
+    # point is r with those slots set; product runs its last place fastest,
+    # so reversed tuples follow the encoding order of s
+    for high in product(frob, repeat=width):
+        coeffs[: p * width : p] = high[::-1]
+        yield Poly._raw(ctx, tuple(coeffs))
 
 
 # A sweep over classes meets few distinct (M, E) and (E, E1) (658 (E, E1) among

@@ -543,20 +543,18 @@ def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly) -> ExperimentRepor
     if d < 1:
         raise ValueError("degree must be >= 1")
     p = ctx.p
-    # g' is supported on positions j-1 for p not dividing j <= d; the free
-    # coefficients are those with j < d, plus a fixed leading term if p ∤ d.
-    free = [j for j in range(1, d) if j % p]
-    fixed = Poly.monomial(ctx, d - 1, d % p) if d % p else Poly.zero(ctx)
+    # g' is supported on positions j-1 for p not dividing j <= d: the free
+    # coefficients j g_j, j < d, run over all of GF(q) as g_j does (j is a
+    # unit mod p), and position d-1 holds the fixed leading term d mod p.
+    free = [j - 1 for j in range(1, d) if j % p]
+    coeffs = [0] * d
+    coeffs[d - 1] = d % p
     denominator = ctx.q ** len(free)
     numerator = 0
-    for idx in range(denominator):
-        coeffs = [0] * d
-        v = idx
-        for j in free:
-            coeffs[j - 1] = ctx.mul(j % p, v % ctx.q)
-            v //= ctx.q
-        h = Poly(ctx, coeffs) + fixed
-        if ((h - a) % M).is_zero:
+    for values in itertools.product(range(ctx.q), repeat=len(free)):
+        for i, c in zip(free, values):
+            coeffs[i] = c
+        if ((Poly(ctx, coeffs) - a) % M).is_zero:
             numerator += 1
     value = Fraction(numerator, denominator)
     reference = Fraction(1, ctx.q ** min(M.degree, (d - 1) // p))
@@ -584,13 +582,9 @@ def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: 
         if f.is_zero:
             count += 1  # lambda * A * 0^2
             continue
-        q_, r_ = divmod(f, A)
-        if not r_.is_zero and A.degree >= 1:
+        h, r = divmod(f, A)
+        if not r.is_zero:
             continue
-        if A.degree >= 1:
-            h = q_
-        else:
-            h = f
         if all(mult % 2 == 0 for _, _, mult in distinct_degree_split(h.monic())):
             count += 1
     reference = ctx.q ** ((0.5 + alpha) * d)

@@ -19,14 +19,11 @@ __all__ = ["embed_field", "lift_poly"]
 def _embedding(ctx: FieldCtx, L: int):
     big = field_new(ctx.p, ctx.k * L)
     # The base modulus has prime-subfield coefficients, which encode as the
-    # same small integers in the big field.
+    # same small integers in the big field.  Its roots lie in the subfield of
+    # q elements: 0 and the powers of g^((Q-1)/(q-1)), g the big generator.
     mod = Poly(big, ctx.modulus)
-    root = None
-    for x in range(big.q):
-        if mod(x) == 0:
-            root = x
-            break
-    assert root is not None, "base modulus must split in the extension"
+    subfield = [0, *big.exp_table[:: (big.q - 1) // (ctx.q - 1)]]
+    root = min(x for x in subfield if mod(x) == 0)
     images = [0] * ctx.q
     powers = [1]
     for _ in range(ctx.k - 1):

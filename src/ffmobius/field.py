@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import FIELD_CACHE_SIZE, PAIR_TABLE_CAP, field_table_cap
 from .errors import ResourceLimitError
-from .poly import _digits, _index, _is_irreducible, _mod, _mul, _trim
+from .poly import _digits, _index, _is_irreducible, _mod, _mul, _trim, monics
 
 __all__ = ["FieldCtx", "field_new", "cyclic_group", "pair_tables", "structure_constants"]
 
@@ -164,15 +164,6 @@ class FieldCtx:
     def frobenius(self, x: int) -> int:
         return self.pow(x, self.p)
 
-    def trace_to_prime(self, x: int) -> int:
-        """Field trace down to F_p, returned as an int in [0, p)."""
-        acc = 0
-        y = x
-        for _ in range(self.k):
-            acc = self.add(acc, y)
-            y = self.frobenius(y)
-        return acc  # lands in the prime subfield, encoded as its own value
-
     # -- misc -----------------------------------------------------------
 
     def __repr__(self):
@@ -254,8 +245,9 @@ def cyclic_group(ctx: FieldCtx, f: tuple[int, ...]) -> tuple[int, list[int], lis
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
 def pair_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """q x q numpy add/mul tables, built by broadcasting: addition digit by
-    digit mod p, multiplication through the discrete-log tables.  Memoised
-    per interned context, like the contexts themselves, and read-only."""
+    digit mod p, multiplication through the discrete-log tables.  Read-only,
+    and memoised per interned context for the sieve; _build flattens an
+    uncached copy, so fields past the sieve's reach keep no arrays."""
     q, p = ctx.q, ctx.p
     x = np.arange(q, dtype=np.int64)
     add = np.zeros((q, q), dtype=np.int64)
@@ -303,8 +295,7 @@ def _default_modulus(p: int, k: int) -> tuple[int, ...]:
     if k == 1:
         return (0, 1)
     gfp = _build(p, 1, (0, 1))
-    return next(f for f in (tuple(_digits(p, low, k)) + (1,) for low in range(p**k))
-                if _is_irreducible(gfp, f))
+    return next(f.coeffs for f in monics(gfp, k) if _is_irreducible(gfp, f.coeffs))
 
 
 @lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -332,8 +323,8 @@ def _build(p: int, k: int, mod: tuple[int, ...]) -> FieldCtx:
 
     ctx = FieldCtx(p, k, mod, generator, exp_table, dlog_table,
                    quad_char_table, inv_table, neg_table, None, None)
-    if k > 1 and q <= PAIR_TABLE_CAP:
-        add, mul = pair_tables(ctx)
-        ctx.add_table, ctx.mul_table = add.ravel().tolist(), mul.ravel().tolist()
+    if k > 1 and q <= PAIR_TABLE_CAP:  # uncached: only the sieve keeps the arrays
+        add, mul = pair_tables.__wrapped__(ctx)
+        ctx.add_table, ctx.mul_table = pool[add.ravel()].tolist(), pool[mul.ravel()].tolist()
     return ctx
 

@@ -12,6 +12,7 @@ module-private tuple kernels; Poly methods are thin wrappers over them.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .config import FACTOR_CACHE_SIZE
@@ -628,32 +629,17 @@ def monics(ctx: FieldCtx, d: int):
     """All q^d monic polynomials of degree d, in encoding order."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    q = ctx.q
-    if d == 0:
-        yield Poly.one(ctx)
-        return
-    tail = (1,)
-    for idx in range(q**d):
-        coeffs = []
-        v = idx
-        for _ in range(d):
-            coeffs.append(v % q)
-            v //= q
-        yield Poly._raw(ctx, tuple(coeffs) + tail)
+    # product runs its last place fastest, so reversed tuples are low first
+    for high in product(range(ctx.q), repeat=d):
+        yield Poly._raw(ctx, high[::-1] + (1,))
 
 
 def polys_below(ctx: FieldCtx, t: int):
     """All q^t polynomials of degree < t (including 0), in encoding order."""
     if t < 0:
         raise ValueError("degree bound must be >= 0")
-    q = ctx.q
-    for idx in range(q**t):
-        coeffs = []
-        v = idx
-        for _ in range(t):
-            coeffs.append(v % q)
-            v //= q
-        yield Poly._raw(ctx, _trim(coeffs))
+    for high in product(range(ctx.q), repeat=t):
+        yield Poly._raw(ctx, _trim(high[::-1]))
 
 
 # ---------------------------------------------------------------------------

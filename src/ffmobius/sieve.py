@@ -294,7 +294,10 @@ def affine_index_map(ctx: FieldCtx, a: Poly, M: Poly, e: int) -> tuple[int, np.n
     """(degree, index array) of f = a + g*M over all monic g of degree e.
 
     Requires deg(a) != e + deg(M) and a monic result, so every f is monic of
-    one fixed degree and indexes directly into the degree tables.
+    one fixed degree and indexes directly into the degree tables.  Nothing in
+    the package calls it; it stays because it is the tests' public handle on
+    the _affine_index kernel and the benchmark's span list names it
+    (sieve.index_map_s).
     """
     _require(ctx, e)
     d_out = _affine_degree(ctx, a, M, e)

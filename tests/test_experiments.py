@@ -504,17 +504,19 @@ def test_derivative_ratio_d1(gf3):
     assert derivative_ratio(gf3, 1, T, Poly.zero(gf3)).value == 0
 
 
-def test_derivative_ratio_counts_match_enumeration(gf3):
-    T = Poly.t(gf3)
-    M = T * T + Poly.one(gf3)
-    for d in (2, 3, 4):
-        for aidx in range(4):
-            a = Poly(gf3, [aidx % 3, aidx // 3])
-            rep = derivative_ratio(gf3, d, M, a)
-            derivs = {g.derivative().coeffs for g in monics(gf3, d)}
-            num = sum(1 for h in derivs if ((Poly(gf3, h) - a) % M).is_zero)
-            assert rep.details["numerator"] == num
-            assert rep.details["denominator"] == len(derivs)
+def test_derivative_ratio_counts_match_enumeration(gf3, gf5, gf9):
+    # degrees with p | d and p not dividing d in each field; M squarefree
+    for ctx, M, degrees in ((gf3, (1, 0, 1), (2, 3, 4)), (gf5, (2, 0, 1), (3, 4, 5)),
+                            (gf9, (1, 0, 1), (2, 3, 4))):
+        M = Poly(ctx, M)
+        for d in degrees:
+            derivs = {g.derivative().coeffs for g in monics(ctx, d)}
+            for aidx in (0, 1, 2, ctx.q, ctx.q + 1):
+                a = Poly(ctx, [aidx % ctx.q, aidx // ctx.q])
+                rep = derivative_ratio(ctx, d, M, a)
+                num = sum(1 for h in derivs if ((Poly(ctx, h) - a) % M).is_zero)
+                assert rep.details["numerator"] == num
+                assert rep.details["denominator"] == len(derivs)
 
 
 def test_square_class_count_matches_constructive_oracle(gf3):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from ffmobius import Poly, ResourceLimitError, field_new, is_irreducible
 from ffmobius.factor import irreducibles
-from ffmobius.field import _int_factorization, cyclic_group
+from ffmobius.field import _build, _default_modulus, _int_factorization, cyclic_group, pair_tables
 from ffmobius.poly import _digits, _index, _mod, _mul, _powmod, _trim
 
 
@@ -210,14 +210,15 @@ def test_frobenius_is_field_automorphism(gf9):
         assert y == x
 
 
-def test_trace_to_prime(gf9):
-    # trace is F_3-linear onto the prime field and not identically zero
-    values = {gf9.trace_to_prime(x) for x in gf9.elements()}
-    assert values == {0, 1, 2}
-    for x in range(gf9.q):
-        for y in range(gf9.q):
-            s = gf9.trace_to_prime(gf9.add(x, y))
-            assert s == (gf9.trace_to_prime(x) + gf9.trace_to_prime(y)) % 3
+def test_pair_tables_share_the_pool_and_stay_out_of_the_memo():
+    """GF(31^2)'s flat pair tables hold the context's q pooled int objects,
+    not one new int per entry, and building it pins no q x q array in the
+    pair_tables memo: the sieve, its only other reader, refuses q = 961."""
+    modulus = _default_modulus(31, 2)
+    memo = pair_tables.cache_info()
+    ctx = _build.__wrapped__(31, 2, modulus)  # a fresh build, past the intern cache
+    assert pair_tables.cache_info() == memo
+    assert len({id(x) for x in ctx.add_table} | {id(x) for x in ctx.mul_table}) <= ctx.q
 
 
 @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))

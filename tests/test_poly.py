@@ -226,6 +226,41 @@ def test_polys_below_counts(gf3):
     assert len(list(polys_below(gf3, 3))) == 27
 
 
+@pytest.mark.parametrize("pk", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_walks_follow_encoding_order(pk):
+    """monics and polys_below list their families in base-q index order,
+    which the sieve tables, derivative classes and golden files rely on."""
+    ctx = field_new(*pk)
+    for d in range(5):
+        assert [f.coeffs for f in monics(ctx, d)] == [
+            monic_from_index(ctx, d, i).coeffs for i in range(ctx.q**d)]
+        assert [f.coeffs for f in polys_below(ctx, d)] == [
+            poly_from_index(ctx, i, d).coeffs for i in range(ctx.q**d)]
+
+
+def _full_scan_images(ctx, L):
+    """The embedding GF(q) -> GF(q^L) by its definition: send the base
+    modulus to its smallest root, found by evaluating at every element."""
+    big = field_new(ctx.p, ctx.k * L)
+    mod = Poly(big, ctx.modulus)
+    root = next(x for x in range(big.q) if mod(x) == 0)
+    powers = [big.pow(root, i) for i in range(ctx.k)]
+    images = []
+    for x in range(ctx.q):
+        acc = 0
+        for c, rpow in zip(ctx.coords(x), powers):
+            acc = big.add(acc, big.mul(c, rpow))
+        images.append(acc)
+    return images
+
+
+@pytest.mark.parametrize("pk,L", [((2, 2), 5), ((3, 2), 3), ((5, 2), 2), ((5, 1), 3)])
+def test_embedding_matches_full_scan(pk, L):
+    ctx = field_new(*pk)
+    _, emb = embed_field(ctx, L)
+    assert [emb(x) for x in range(ctx.q)] == _full_scan_images(ctx, L)
+
+
 def test_monic_from_index_roundtrip(gf9):
     for i in range(81):
         f = monic_from_index(gf9, 2, i)
