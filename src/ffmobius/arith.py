@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import FACTOR_CACHE_SIZE
 from .factor import distinct_degree_split
 from .field import _int_factorization
 from .poly import Poly, discriminant, ext_gcd, gcd, monics, resultant
@@ -136,6 +137,9 @@ def jacobi_oracle(f: Poly, g: Poly) -> int:
     return out
 
 
+# decomposition.decompose inverts M mod E at every derivative class, and a
+# sweep over classes meets few distinct (M, E), so each is computed once.
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def inverse_mod(f: Poly, M: Poly) -> Poly:
     """Canonical representative r, deg r < deg M, with f*r = 1 mod M."""
     if M.degree < 1:

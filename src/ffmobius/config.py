@@ -21,7 +21,8 @@ FIELD_CACHE_SIZE = 32
 
 # factor() memoises this many factorizations (least recently used dropped),
 # enough for the distinct inputs of one exhaustive decomposition sweep; the
-# per-polynomial Frobenius rows and divisor-pair histograms share the bound.
+# memos of distinct_degree_split, inverse_mod, quadratic_character_mod,
+# _frobenius (Frobenius rows) and _pair_histogram share the bound.
 FACTOR_CACHE_SIZE = 1 << 15
 
 # numpy bulk kernels (sieves, index maps) apply only up to these sizes.

@@ -18,12 +18,10 @@ testable content.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .arith import inverse_mod, mobius, mobius_oracle
 from .characters import DirichletCharacter, quadratic_character_mod
-from .config import FACTOR_CACHE_SIZE
 from .errors import DegenerateClassError
 from .factor import distinct_degree_split, rad, rad1
 from .field import FieldCtx
@@ -105,18 +103,6 @@ def derivative_class(ctx: FieldCtx, rprime: Poly, d: int):
         yield Poly._raw(ctx, tuple(coeffs))
 
 
-# A sweep over classes meets few distinct (M, E) and (E, E1) (658 (E, E1) among
-# the 73,234 GF(9) classes of criterion 02), so each is computed once.
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _inverse(ctx, m_coeffs, e_coeffs) -> Poly:
-    return inverse_mod(Poly._raw(ctx, m_coeffs), Poly._raw(ctx, e_coeffs))
-
-
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _character(ctx, e_coeffs, e1_coeffs) -> DirichletCharacter:
-    return quadratic_character_mod(Poly._raw(ctx, e_coeffs), Poly._raw(ctx, e1_coeffs))
-
-
 def decompose(a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionData:
     """Build (D, E, E1, w, chi, S) for the class {a + gM : g' = rprime}.
 
@@ -152,8 +138,8 @@ def decompose(a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionData:
     if E.degree == 0:
         w = zero
     else:
-        w = (a * _inverse(ctx, M.coeffs, E.coeffs)) % E
-    chi = _character(ctx, E.coeffs, E1.coeffs)
+        w = (a * inverse_mod(M, E)) % E
+    chi = quadratic_character_mod(E, E1)
 
     S = 0
     calibrated = False

@@ -38,15 +38,14 @@ from .arith import (
     von_mangoldt,
 )
 from .characters import (
-    AdditiveCharacter,
     DirichletCharacter,
     RootOfUnitySum,
+    additive_character,
     c_sum,
     digit_matrix,
     kloosterman,
     local_logs,
     rational_kloosterman_aggregate,
-    residue_ring,
 )
 from .config import BULK_SIZE_CAP, FACTOR_CACHE_SIZE
 from .decomposition import decompose, verify_decomposition
@@ -390,17 +389,16 @@ def vaughan_check(f: Poly, alpha: int, beta: int) -> bool:
         raise ValueError("f must be monic nonzero")
     if alpha < 0 or beta < 0 or max(alpha, beta) >= f.degree:
         raise ValueError("need 0 <= alpha, beta and max(alpha, beta) < deg f")
-    hist = _pair_histogram(f.ctx, f.coeffs)
+    hist = _pair_histogram(f)
     small = sum(sum(row[:beta + 1]) for row in hist[:alpha + 1])
     large = sum(sum(row[beta + 1:]) for row in hist[alpha + 1:])
     return mobius(f) == -small + large
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _pair_histogram(ctx, coeffs) -> tuple[tuple[int, ...], ...]:
+def _pair_histogram(f: Poly) -> tuple[tuple[int, ...], ...]:
     """H[deg g][deg h] = sum of mu(g) mu(h) over every pair gh | f, each pair
     enumerated with mobius on both: one pass per f serves every (alpha, beta)."""
-    f = Poly._raw(ctx, coeffs)
     n = f.degree
     hist = [[0] * (n + 1) for _ in range(n + 1)]
     for D in divisors(f):
@@ -503,8 +501,8 @@ def mobius_inv_additive(ctx: FieldCtx, d: int, M: Poly, h: Poly | None = None) -
         raise ValueError("M must be squarefree monic nonconstant")
     if d < 0:
         raise ValueError("degree must be >= 0")
-    ring = residue_ring(M)
-    psi = AdditiveCharacter(ring, h if h is not None else Poly.one(ctx))
+    psi = additive_character(M, h)
+    ring = psi.ring
     acc = RootOfUnitySum(ctx.p)
     m = M.degree
     for r in ring.units:
@@ -686,8 +684,8 @@ def sign_change_search(f: Poly, eta: float) -> ExperimentReport:
 
 def kloosterman_report(M: Poly, x: Poly, z: Poly, h: Poly | None = None) -> ExperimentReport:
     ctx = M.ctx
-    ring = residue_ring(M)
-    psi = AdditiveCharacter(ring, h if h is not None else Poly.one(ctx))
+    psi = additive_character(M, h)
+    ring = psi.ring
     value = kloosterman(M, psi, x, z)
     ok = None
     reference = None
@@ -709,8 +707,7 @@ def kloosterman_report(M: Poly, x: Poly, z: Poly, h: Poly | None = None) -> Expe
 
 def c_sum_report(M: Poly, g: Poly, h: Poly, twist: Poly | None = None) -> ExperimentReport:
     ctx = M.ctx
-    ring = residue_ring(M)
-    psi = AdditiveCharacter(ring, twist if twist is not None else Poly.one(ctx))
+    psi = additive_character(M, twist)
     value, bound, ok = c_sum(M, psi, g, h)
     return ExperimentReport(
         experiment="c-sum",

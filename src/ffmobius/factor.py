@@ -10,9 +10,11 @@ named: divisors, the moduli of characters and the residue logs of the
 interval sums.  It draws from a stream seeded by (CZ_SEED, input encoding)
 on its first draw, so every factorization is reproducible and independent
 of call order; degree-1 parts are split by root scan, with no randomness.
-factor and the split are memoised in bounded LRUs
-(config.FACTOR_CACHE_SIZE), so the routes that ask about the same
-polynomial factor or split it once.
+factor and distinct_degree_split are memoised by the polynomial in LRUs
+bounded by config.FACTOR_CACHE_SIZE, so the routes that ask about the same
+polynomial factor or split it once; arith.inverse_mod,
+characters.quadratic_character_mod, poly._frobenius and
+experiments._pair_histogram share that bound.
 """
 
 from __future__ import annotations
@@ -191,20 +193,15 @@ def _edf(f: Poly, d: int, draws) -> list[Poly]:
     return out
 
 
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def factor(f: Poly) -> Factorization:
     """Factor nonzero f into monic irreducibles with multiplicities.
 
-    Memoised per field and coefficient tuple: the last FACTOR_CACHE_SIZE
-    distinct inputs are kept, so a polynomial that several routes ask about
-    is factored once."""
+    Memoised by f (its field key and coefficients): the last
+    FACTOR_CACHE_SIZE distinct inputs are kept, so a polynomial that several
+    routes ask about is factored once."""
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    return _factor(f.ctx, f.coeffs)
-
-
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factor(ctx, coeffs) -> Factorization:
-    f = Poly._raw(ctx, coeffs)
     leading = f.lc
     fm = f.monic()
     if fm.degree == 0:
@@ -215,6 +212,7 @@ def _factor(ctx, coeffs) -> Factorization:
     return Factorization(leading, tuple(found))
 
 
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def distinct_degree_split(f: Poly) -> tuple[tuple[Poly, int, int], ...]:
     """(P, d, e) triples for monic f: P is the product of the irreducible
     factors of degree d that divide f exactly e times, so f is the product
@@ -222,12 +220,7 @@ def distinct_degree_split(f: Poly) -> tuple[tuple[Poly, int, int], ...]:
     splitting runs.  Memoised like factor."""
     if not f.is_monic:
         raise ValueError("distinct-degree split needs a monic polynomial")
-    return _split(f.ctx, f.coeffs)
-
-
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _split(ctx, coeffs):
-    parts = _squarefree_parts(Poly._raw(ctx, coeffs))
+    parts = _squarefree_parts(f)
     return tuple((prod, d, mult) for part, mult in parts.items() for prod, d in _ddf(part))
 
 

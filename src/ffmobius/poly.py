@@ -406,12 +406,6 @@ class Poly:
     def constant(cls, ctx, c: int) -> "Poly":
         return cls._raw(ctx, (c,) if c else ())
 
-    @classmethod
-    def monomial(cls, ctx, deg: int, c: int = 1) -> "Poly":
-        if c == 0:
-            return cls.zero(ctx)
-        return cls._raw(ctx, (0,) * deg + (c,))
-
     # -- structure ------------------------------------------------------
 
     @property

@@ -262,11 +262,11 @@ def test_repeated_calls_share_one_field_and_the_factor_memo():
     after the first is served from the factor module's memos: factor's and
     the distinct-degree split's, which rad and rad1 read."""
     script = """
-import contextlib, gc, importlib, io
+import contextlib, gc, io
 from ffmobius.cli import main
 from ffmobius.field import FieldCtx
-factor_mod = importlib.import_module("ffmobius.factor")
-memos = (factor_mod._factor, factor_mod._split)
+from ffmobius.factor import distinct_degree_split, factor
+memos = (factor, distinct_degree_split)
 argv = ["decompose", "--q", "3", "--a", "T^4", "--M", "1", "--rprime", "0", "--d", "3", "--verify"]
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(argv) == 0

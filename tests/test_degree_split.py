@@ -164,7 +164,7 @@ def _refuse(*args):
 @pytest.mark.parametrize("pk", ODD + EVEN, ids=lambda pk: f"GF({pk[0]}^{pk[1]})d<={pk[2]}")
 def test_degree_only_answers_need_no_equal_degree_split(pk, monkeypatch):
     ctx, cases = _cases(*pk)
-    factor_mod._factor.cache_clear()  # a memoised factor() would hide an _edf call
+    factor.cache_clear()  # a memoised factor() would hide an _edf call
     monkeypatch.setattr(factor_mod, "_edf", _refuse)
     with pytest.raises(AssertionError, match="equal-degree"):
         factor(Poly.t(ctx))  # the patch is in force

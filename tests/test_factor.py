@@ -7,6 +7,7 @@ from ffmobius import (
     divisors,
     factor,
     field_new,
+    gcd,
     irreducibles,
     is_irreducible,
     is_squarefree,
@@ -14,6 +15,8 @@ from ffmobius import (
     rad,
     rad1,
 )
+from ffmobius.arith import inverse_mod, jacobi
+from ffmobius.characters import local_logs, quadratic_character_mod, residue_ring
 from ffmobius.factor import distinct_degree_split, pth_root
 
 
@@ -63,7 +66,7 @@ def test_factor_nonmonic_leading(gf5):
 def test_factor_is_deterministic(gf9):
     f = Poly(gf9, [3, 1, 4, 1, 5, 1])
     first = factor(f)
-    _factor_module()._factor.cache_clear()
+    factor.cache_clear()
     assert factor(f) == first
 
 
@@ -73,21 +76,51 @@ def _factor_module():
     return importlib.import_module("ffmobius.factor")  # the package exports a function of that name
 
 
+def _ask_every_memo(f: Poly):
+    """Ask every Poly-keyed memo about the monic f and check each answer
+    against f and its own field; returns the factorization."""
+    ctx = f.ctx
+    T = Poly.t(ctx)
+    one = Poly.one(ctx)
+    fac = factor(f)
+    assert fac.reconstruct(ctx) == f
+    split = distinct_degree_split(f)
+    product = one
+    for P, _, e in split:
+        product = product * P**e
+    assert product == f
+    ring = residue_ring(f)
+    assert ring.M == f
+    x = T + one
+    if gcd(x, f).degree == 0:
+        inverse = inverse_mod(x, f)
+        assert (x * inverse) % f == one and inverse.ctx.key == ctx.key
+        assert ring.inv_index[ring.index(x)] == ring.index(inverse)
+    if is_squarefree(f):
+        chi = quadratic_character_mod(f, f)
+        assert chi.modulus == f
+        shifts = [T + Poly.constant(ctx, c) for c in range(ctx.q)]
+        assert [chi(g) for g in shifts] == [jacobi(g, f) for g in shifts]
+    if is_irreducible(f):
+        assert local_logs(f).prime == f
+    assert all(P.ctx.key == ctx.key for P, _ in fac.factors)
+    assert all(P.ctx.key == ctx.key for P, _, _ in split)
+    return fac
+
+
 def test_factor_memo_keeps_gf9_moduli_apart():
     """Two GF(9) contexts with different moduli read the same coefficient
-    tuples as different polynomials; the memo must not hand one the other's
-    factorization."""
+    tuples as different polynomials; no Poly-keyed memo (factor,
+    distinct_degree_split, residue_ring, inverse_mod, quadratic_character_mod,
+    local_logs) may hand one the other's answer."""
     a = field_new(3, 2)
     b = field_new(3, 2, modulus=[2, 1, 1])
     assert a.modulus != b.modulus
     differ = 0
     for fa in monics(a, 2):
         fb = Poly(b, fa.coeffs)
-        for _ in range(2):  # the second pass is served from the memo
-            ra, rb = factor(fa), factor(fb)
-            assert ra.reconstruct(a) == fa and rb.reconstruct(b) == fb
-            assert all(p.ctx is a for p, _ in ra.factors)
-            assert all(p.ctx is b for p, _ in rb.factors)
+        for _ in range(2):  # the second pass is served from the memos
+            ra, rb = _ask_every_memo(fa), _ask_every_memo(fb)
         differ += [p.coeffs for p, _ in ra.factors] != [p.coeffs for p, _ in rb.factors]
     assert differ > 0
 
@@ -95,9 +128,8 @@ def test_factor_memo_keeps_gf9_moduli_apart():
 def test_factor_memo_is_bounded_by_its_constant():
     from ffmobius.config import FACTOR_CACHE_SIZE
 
-    memo = _factor_module()._factor
-    assert memo.cache_info().maxsize == FACTOR_CACHE_SIZE
-    memo.cache_clear()
+    assert factor.cache_info().maxsize == FACTOR_CACHE_SIZE
+    factor.cache_clear()
     # the linear polynomials c1*T + c0 over GF(p): more distinct inputs than
     # the memo holds, each factored without a distinct-degree step
     p = 2
@@ -107,7 +139,7 @@ def test_factor_memo_is_bounded_by_its_constant():
     for c1 in range(1, p):
         for c0 in range(p):
             factor(Poly(ctx, (c0, c1)))
-    assert memo.cache_info().currsize == FACTOR_CACHE_SIZE
+    assert factor.cache_info().currsize == FACTOR_CACHE_SIZE
 
 
 def _by_degree_and_mult(ctx, triples):
@@ -225,7 +257,7 @@ def test_cantor_zassenhaus_stream_seeded_on_first_draw(gf3, monkeypatch):
             super().seed(a, version)
 
     monkeypatch.setattr(factor_mod, "random", SimpleNamespace(Random=Counting))
-    factor_mod._factor.cache_clear()  # a memoised factorization draws nothing
+    factor.cache_clear()  # a memoised factorization draws nothing
     T = Poly.t(gf3)
     one = Poly.one(gf3)
     for f in (T**3 + T * Poly.constant(gf3, 2) + one, T * (T + one) ** 2, T**5):
