@@ -12,7 +12,8 @@ import os
 # Field construction refuses q above this unless FFMOBIUS_TABLE_CAP says otherwise.
 DEFAULT_TABLE_CAP = 1 << 20
 
-# Full q*q add/mul tables are built only for extension fields up to this size.
+# Full q*q add/mul tables are built for every field, prime or extension, up
+# to this size; past it field arithmetic runs on the digit and log formulas.
 PAIR_TABLE_CAP = 1 << 10
 
 # field_new() interns this many contexts (least recently used dropped); each

@@ -3,8 +3,9 @@
 Elements are plain integers in [0, q): the base-p encoding of the
 coefficient vector in the polynomial basis F_p[x]/(modulus), low digit
 first.  A FieldCtx carries discrete-log, inverse and quadratic-character
-tables (plus flat q*q add/mul pair tables for small extension fields) and
-is immutable after construction, so it can be shared freely across workers.
+tables (plus flat q*q add/mul pair tables for every field up to
+PAIR_TABLE_CAP, prime fields included) and is immutable after
+construction, so it can be shared freely across workers.
 field_new interns contexts, so caches elsewhere key on the context itself.
 
 Every finite field, GF(p^k) or a residue field F_q[T]/(P) of
@@ -79,8 +80,9 @@ class FieldCtx:
         self.quad_char_table = quad_char_table
         self.inv_table = inv_table
         self.neg_table = neg_table
-        # flat pair tables, x op y at index x * q + y; None when k = 1 or
-        # q > PAIR_TABLE_CAP.  Read-only, like the other tables.
+        # flat pair tables, x op y at index x * q + y, for prime and extension
+        # fields alike; None when q > PAIR_TABLE_CAP.  Read-only, like the
+        # other tables.
         self.add_table = add_table
         self.mul_table = mul_table
         self.key = (p, k, modulus)
@@ -106,8 +108,6 @@ class FieldCtx:
         t = self.add_table
         if t is not None:
             return t[a * self.q + b]
-        if self.k == 1:
-            return (a + b) % self.p
         p = self.p
         out = 0
         m = 1
@@ -128,8 +128,6 @@ class FieldCtx:
         t = self.mul_table
         if t is not None:
             return t[a * self.q + b]
-        if self.k == 1:
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         d = self.dlog_table
@@ -323,7 +321,7 @@ def _build(p: int, k: int, mod: tuple[int, ...]) -> FieldCtx:
 
     ctx = FieldCtx(p, k, mod, generator, exp_table, dlog_table,
                    quad_char_table, inv_table, neg_table, None, None)
-    if k > 1 and q <= PAIR_TABLE_CAP:  # uncached: only the sieve keeps the arrays
+    if q <= PAIR_TABLE_CAP:  # uncached: only the sieve keeps the arrays
         add, mul = pair_tables.__wrapped__(ctx)
         ctx.add_table, ctx.mul_table = pool[add.ravel()].tolist(), pool[mul.ravel()].tolist()
     return ctx

@@ -52,8 +52,8 @@ def _trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c[:n])
 
 
-# _add, _mul and _mod run on one of three paths: inline arithmetic mod p for
-# prime fields, the flat pair tables (x op y at x * q + y) for extension
+# _add, _mul, _mod and _frob run on one of two paths, for prime and
+# extension fields alike: the flat pair tables (x op y at x * q + y) for
 # fields up to PAIR_TABLE_CAP, and the FieldCtx methods beyond that.
 
 
@@ -61,11 +61,7 @@ def _add(ctx, a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    if ctx.k == 1:
-        p = ctx.p
-        for i, v in enumerate(b):
-            out[i] = (out[i] + v) % p
-    elif ctx.add_table is not None:
+    if ctx.add_table is not None:
         at, q = ctx.add_table, ctx.q
         for i, v in enumerate(b):
             out[i] = at[out[i] * q + v]
@@ -98,14 +94,6 @@ def _mul(ctx, a, b):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
-    if ctx.k == 1:
-        p = ctx.p
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    if bj:
-                        out[j] = (out[j] + ai * bj) % p
-        return _trim(out)
     nz = [(j, bj) for j, bj in enumerate(b) if bj]
     mt = ctx.mul_table
     if mt is not None:
@@ -129,9 +117,8 @@ def _mul(ctx, a, b):
 def _mod(ctx, a, b, quo=None):
     """a mod b.  Given quo, a zero list of len(a) - len(b) + 1 entries, the
     quotient coefficients are written into it.  Each step removes c * b_j
-    from the remainder for every nonzero low coefficient b_j: mod p by
-    subtraction, over an extension field by adding (-c) * b_j, with c
-    negated once per step."""
+    from the remainder for every nonzero low coefficient b_j by adding
+    (-c) * b_j, with c negated once per step."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
@@ -143,19 +130,6 @@ def _mod(ctx, a, b, quo=None):
     inv_lead = ctx.inv_table[b[-1]]
     shifts = range(len(a) - 1 - db, -1, -1)
     low = b[:db]
-    if ctx.k == 1:
-        p = ctx.p
-        for shift in shifts:
-            c = rem[shift + db]
-            if c:
-                if inv_lead != 1:
-                    c = c * inv_lead % p
-                if quo is not None:
-                    quo[shift] = c
-                for j, bj in enumerate(low, shift):
-                    if bj:
-                        rem[j] = (rem[j] - c * bj) % p
-        return _trim(rem[:db])
     neg = ctx.neg_table
     mt = ctx.mul_table
     if mt is not None:
@@ -297,13 +271,6 @@ def _frobenius(ctx, f):
 def _frob(ctx, h, rows):
     """h^q mod f for h reduced mod f, given rows = _frobenius(ctx, f)."""
     out = [0] * len(rows)
-    if ctx.k == 1:  # sum exactly, reduce once
-        for hi, row in zip(h, rows):
-            if hi:
-                for j, rj in enumerate(row):
-                    out[j] += hi * rj
-        p = ctx.p
-        return _trim([v % p for v in out])
     mt = ctx.mul_table
     if mt is not None:
         at, q = ctx.add_table, ctx.q

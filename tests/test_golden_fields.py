@@ -14,10 +14,12 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from ffmobius import field_new, parse_poly
 from ffmobius.characters import local_logs
+from ffmobius.config import PAIR_TABLE_CAP
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "field_tables.json")
 
@@ -67,6 +69,27 @@ def recorded():
 @pytest.mark.parametrize("pk", FIELDS, ids=lambda pk: f"{pk[0]}^{pk[1]}")
 def test_field_tables_match_golden(pk, recorded):
     assert field_record(*pk) == recorded["fields"][f"{pk[0]}^{pk[1]}"]
+
+
+@pytest.mark.parametrize("pk", [pk for pk in FIELDS if pk[0] ** pk[1] <= PAIR_TABLE_CAP],
+                         ids=lambda pk: f"{pk[0]}^{pk[1]}")
+def test_pair_tables_match_field_arithmetic(pk):
+    """Every flat pair-table entry against arithmetic that reads no pair
+    table: (x + y) % p and x * y % p on a prime field, digit-wise sums mod p
+    and exp[(dlog x + dlog y) % (q - 1)] on an extension field.  Up to the
+    cap the FieldCtx methods, the kernel references of test_kernels, read
+    these same tables, so this test is what ties them to the field."""
+    ctx = field_new(*pk)
+    p, q = ctx.p, ctx.q
+    x, y = np.arange(q)[:, None], np.arange(q)
+    add = np.array(ctx.add_table).reshape(q, q)
+    mul = np.array(ctx.mul_table).reshape(q, q)
+    if ctx.k == 1:
+        assert (add == (x + y) % p).all() and (mul == x * y % p).all()
+        return
+    assert (add == sum((x // p**j % p + y // p**j % p) % p * p**j for j in range(ctx.k))).all()
+    exp, dlog = np.array(ctx.exp_table), np.array(ctx.dlog_table)
+    assert (mul == np.where((x == 0) | (y == 0), 0, exp[(dlog[x] + dlog[y]) % (q - 1)])).all()
 
 
 @pytest.mark.parametrize("case", LOCAL_LOGS, ids=lambda c: f"{c[0][0]}^{c[0][1]}:{c[1]}")

@@ -2,10 +2,13 @@
 FieldCtx methods alone, and the residue-ring unit sums (Kloosterman, C-sum,
 aggregate) against per-unit references written with polynomial products.
 
-The kernels take one of three paths: inline arithmetic mod p for prime
-fields, the flat pair tables for extension fields up to PAIR_TABLE_CAP, and
-the FieldCtx methods beyond it (GF(3^7) here).  The Frobenius kernels
-(_frobenius, _frob, _pow_qsum) are checked against _powmod on the same set.
+The kernels take one of two paths, for prime and extension fields alike:
+the flat pair tables for fields up to PAIR_TABLE_CAP, and the FieldCtx
+methods beyond it (GF(1031) and GF(3^7) here).  Up to the cap the FieldCtx
+methods read the same pair tables as the kernels, so
+tests/test_golden_fields.py checks every table entry against arithmetic
+that reads no pair table.  The Frobenius kernels (_frobenius, _frob,
+_pow_qsum) are checked against _powmod on the same set.
 """
 
 import random
@@ -28,14 +31,14 @@ from ffmobius.poly import _add, _divmod, _frob, _frobenius, _mod, _mul, _pow, _p
 
 FIELDS = {q: field_new(p, k) for q, (p, k) in {
     2: (2, 1), 3: (3, 1), 5: (5, 1), 7: (7, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2),
-    27: (3, 3), 2187: (3, 7),
+    27: (3, 3), 1031: (1031, 1), 2187: (3, 7),
 }.items()}
 
 
 def test_field_set_covers_every_path():
-    assert FIELDS[2187].mul_table is None and 2187 > PAIR_TABLE_CAP
-    assert all(FIELDS[q].mul_table is not None for q in (4, 8, 9, 25, 27))
-    assert FIELDS[3].mul_table is None and FIELDS[7].k == 1
+    assert all(FIELDS[q].mul_table is not None for q in (3, 7, 4, 8, 9, 25, 27))
+    assert all(FIELDS[q].mul_table is None and q > PAIR_TABLE_CAP for q in (1031, 2187))
+    assert FIELDS[1031].k == 1 and FIELDS[2187].k == 7
 
 
 def _at(c, i):
@@ -133,7 +136,7 @@ def test_powmod_edge_cases(q):
         assert _powmod(ctx, a, e, (2,)) == ()
 
 
-FROBENIUS_FIELDS = [2, 3, 4, 5, 9, 2187]
+FROBENIUS_FIELDS = [2, 3, 4, 5, 9, 1031, 2187]
 EXHAUSTIVE_PAIRS = 1 << 14  # (f, h) pairs per degree checked one by one
 
 
@@ -142,7 +145,7 @@ def test_frob_matches_powmod_by_q(q):
     """h^q mod f from the Frobenius rows of f equals _powmod(h, q, f): every
     residue h mod every monic f of degree <= 3, or a seeded sample of 300
     pairs where a degree has more than EXHAUSTIVE_PAIRS of them (GF(9)
-    degree 3, GF(2187) from degree 2)."""
+    degree 3, GF(1031) and GF(2187) from degree 1)."""
     ctx = FIELDS[q]
     rng = random.Random(q)
     for n in range(4):
