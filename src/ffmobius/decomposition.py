@@ -1,18 +1,27 @@
 """Mobius on a fixed-derivative progression as a shifted quadratic character.
 
-For coprime monic a, M and a target degree d, restrict g to the class of
+For coprime monic a, M (m = deg M) and a class degree d, restrict g to the
 monic degree-d polynomials with a fixed derivative.  On that class
 mu(a + g M) collapses to S * chi(w + g) where chi is a real character mod
 
     E = rad(D) / gcd(M, rad(D)),      D = M^2 g' + a' M - a M',
 
-with conductor E1 = rad1(D) / gcd(M, rad1(D)), w = a * Minv mod E, and a
-class constant S in {-1, 0, +1} (S = 0 exactly when D = 0).
+with conductor E1 = rad1(D) / G, G = gcd(M, rad1(D)), w = a * Minv mod E,
+and a class constant S in {-1, 0, +1} (S = 0 exactly when D = 0).  With
+n = deg(a + gM), psi the quadratic character of F_q and the Jacobi symbol
+(h/B) = psi(Res(B, h)) for monic B, (h/1) = 1,
 
-The sign S absorbs several reciprocity factors; instead of re-deriving
-that chain we calibrate S at the first class point where chi does not
-vanish and verify constancy over the whole class, which is the actual
-testable content.
+    S = (-1)^n psi(-1)^(n(n-1)/2 + n deg D + m n) psi(lc D)^n (a/M) (M/E1) (a/G).
+
+Sketch, for f = a + gM (reciprocity as in M. Rosen, Number Theory in
+Function Fields, GTM 210, ch. 3): Pellet gives mu(f) = (-1)^n psi(disc f)
+with disc f = (-1)^(n(n-1)/2) Res(f, f').  D = M f' - M' f on the class, so
+Res(f, D) = Res(f, M) Res(f, f'); swapping the arguments of both costs
+psi(-1)^(n deg D + m n) psi(lc D)^n, and Res(M, f) = Res(M, a).  In (f/D)
+the primes of G give (a/G) and those of E1 give (M/E1) chi(w + g), since
+f = M (w + g) mod E; a prime of E that divides f divides f' too, so there
+mu(f) = 0 = chi(w + g).  A class where chi vanishes everywhere shows no
+sign: decompose raises DegenerateClassError.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .arith import inverse_mod, mobius, mobius_oracle
+from .arith import inverse_mod, jacobi, mobius_oracle
 from .characters import DirichletCharacter, quadratic_character_mod
 from .errors import DegenerateClassError
 from .factor import distinct_degree_split, rad, rad1
@@ -104,12 +113,10 @@ def derivative_class(ctx: FieldCtx, rprime: Poly, d: int):
 
 
 def decompose(a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionData:
-    """Build (D, E, E1, w, chi, S) for the class {a + gM : g' = rprime}.
-
-    S is calibrated at the first class point with chi(w+g) != 0 and the
-    caller can confirm constancy with :func:`verify_decomposition`.  If chi
-    vanishes on the whole class a DegenerateClassError is raised after
-    confirming every mu value in the class is 0.
+    """Build (D, E, E1, w, chi, S) for the class {a + gM : g' = rprime},
+    with S from the closed form in the module docstring; the caller can
+    check mu(a + gM) = S * chi(w + g) with :func:`verify_decomposition`.
+    Raises DegenerateClassError if chi(w + g) vanishes on the whole class.
     """
     ctx = a.ctx
     if ctx.p == 2:
@@ -134,35 +141,27 @@ def decompose(a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionData:
     radD = rad(D)
     rad1D = rad1(D)
     E = radD // gcd(M, radD)
-    E1 = rad1D // gcd(M, rad1D)
-    if E.degree == 0:
-        w = zero
-    else:
-        w = (a * inverse_mod(M, E)) % E
+    G = gcd(M, rad1D)
+    E1 = rad1D // G
+    w = (a * inverse_mod(M, E)) % E if E.degree else zero
     chi = quadratic_character_mod(E, E1)
+    if not any(chi(w + g) for g in derivative_class(ctx, rprime, d)):
+        raise DegenerateClassError("chi(w+g) = 0 across the whole class; all mu values are 0")
 
-    S = 0
-    calibrated = False
-    for g in derivative_class(ctx, rprime, d):
-        cv = chi(w + g)
-        if cv != 0:
-            S = mobius(a + g * M) * cv  # cv in {-1, +1}, so this divides by cv
-            calibrated = True
-            break
-    if not calibrated:
-        for g in derivative_class(ctx, rprime, d):
-            if mobius(a + g * M) != 0:  # pragma: no cover - would falsify the identity
-                raise AssertionError("character vanishes on the class but mu does not")
-        raise DegenerateClassError(
-            "chi(w+g) = 0 across the whole class; all mu values are 0"
-        )
+    n = max(k, d + m)
+    S = (-1) ** n * ctx.quad_char(ctx.neg(1)) ** (n * (n - 1) // 2 + n * D.degree + m * n)
+    S *= ctx.quad_char(D.lc) ** n * _symbol(a, M) * _symbol(M, E1) * _symbol(a, G)
     return DecompositionData(D, E, E1, w, chi, S)
+
+
+def _symbol(h: Poly, B: Poly) -> int:
+    """The Jacobi symbol (h/B) for monic B, with (h/1) = 1."""
+    return jacobi(h, B) if B.degree else 1
 
 
 def verify_decomposition(data: DecompositionData, a: Poly, M: Poly, rprime: Poly, d: int) -> DecompositionCheck:
     """Check mu(a + gM) = S * chi(w + g) at every class point, with mu from
-    the factorization oracle (independent of the discriminant route used
-    for calibration)."""
+    the factorization oracle (independent of the resultants that give S)."""
     ctx = a.ctx
     counterexamples = []
     size = 0

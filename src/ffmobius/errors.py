@@ -7,4 +7,5 @@ class ResourceLimitError(RuntimeError):
 
 class DegenerateClassError(ValueError):
     """Every point of a fixed-derivative class lies in the character's zero
-    locus, so the sign cannot be calibrated (all Mobius values are 0)."""
+    locus: chi(w + g) = 0, hence mu(a + gM) = 0, across the class, so the
+    identity mu = S * chi(w + g) shows no sign there."""

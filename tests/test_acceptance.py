@@ -16,6 +16,7 @@ from ffmobius import (
     DegenerateClassError,
     Poly,
     decompose,
+    derivative_class,
     field_new,
     gcd,
     mobius_oracle,
@@ -89,6 +90,8 @@ def _decomposition_sweep(ctx, ks, ms, ds):
                                 data = decompose(a, M, rp, d)
                             except DegenerateClassError:
                                 degenerate += 1
+                                for g in derivative_class(ctx, rp, d):
+                                    assert mobius_oracle(a + g * M) == 0
                                 continue
                             assert data.S in (-1, 0, 1)
                             res = verify_decomposition(data, a, M, rp, d)
@@ -98,8 +101,10 @@ def _decomposition_sweep(ctx, ks, ms, ds):
 
 
 def test_02_decomposition_exhaustive():
-    """mu(a+gM) = S chi(w+g) with one calibrated S per fixed-derivative
-    class: q=3 (m<=1, k<=3, d=3) and q=9 (m<=1, k<=2, d<=3)."""
+    """mu(a+gM) = S chi(w+g) with one predicted S per fixed-derivative
+    class (the closed form of ffmobius.decomposition), and mu = 0 on every
+    point of a class where chi vanishes: q=3 (m<=1, k<=3, d=3) and q=9
+    (m<=1, k<=2, d<=3)."""
     t0 = time.time()
     c3, n3, deg3, bad3 = _decomposition_sweep(field_new(3), [0, 1, 2, 3], [0, 1], [3])
     c9, n9, deg9, bad9 = _decomposition_sweep(field_new(3, 2), [0, 1, 2], [0, 1], [1, 2, 3])

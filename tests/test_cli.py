@@ -87,6 +87,17 @@ def test_decompose_verify(capsys):
     assert rep["value"] in (-1, 1)
 
 
+def test_decompose_degenerate_class(capsys):
+    """chi vanishes on the whole class: no sign, every mu is 0."""
+    code, out = run(capsys, "decompose", "--q", "3", "--a", "T^5+T^3", "--M", "1",
+                    "--rprime", "1", "--d", "3", "--verify", "--canonical")
+    assert code == 0
+    assert out == (
+        '{"details":{"all_mu_zero":true,"degenerate_class":true},"experiment":"decompose",'
+        '"field":{"k":1,"p":3},"ok":true,"params":{"M":"1","a":"T^5+T^3","d":3,"rprime":"1"},'
+        '"ratio":null,"reference":null,"seed":0,"value":null,"value_exact":null}\n')
+
+
 def test_char_sum_selectors(capsys):
     code, out = run(capsys, "char-sum", "--q", "3", "--g", "T^2+1", "--char", "quadratic",
                     "--f", "T", "--t", "1")

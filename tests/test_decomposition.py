@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ffmobius import (
@@ -9,11 +11,13 @@ from ffmobius import (
     field_new,
     gcd,
     mobius_oracle,
+    mobius_pellet,
     monics,
     polys_below,
     principal_implies_square,
     verify_decomposition,
 )
+from ffmobius import arith, decomposition
 
 
 def all_derivatives(ctx, d):
@@ -114,56 +118,135 @@ def test_decompose_preconditions(gf3):
         decompose(Poly.t(ctx2), Poly.one(ctx2), Poly.zero(ctx2), 2)
 
 
-def _sweep(ctx, ks, ms, d):
-    """Every admissible (a, M, rprime) with deg a in ks, deg M in ms; returns
-    (classes checked, degenerate classes, counterexample count)."""
-    one = Poly.one(ctx)
-    checked = degenerate = bad = 0
-    derivs = [Poly(ctx, dc) for dc in all_derivatives(ctx, d)]
+def _classes(ctx, ks, ms, ds):
+    """Every admissible (a, M, rprime, d) with deg a in ks, deg M in ms and
+    class degree d in ds."""
+    derivs = {d: [Poly(ctx, dc) for dc in all_derivatives(ctx, d)] for d in ds}
     for m in ms:
         for M in monics(ctx, m):
             for k in ks:
-                if k == d + m:
-                    continue
                 for a in monics(ctx, k):
                     if gcd(a, M).degree != 0:
                         continue
-                    for rp in derivs:
-                        try:
-                            data = decompose(a, M, rp, d)
-                        except DegenerateClassError:
-                            degenerate += 1
-                            for g in derivative_class(ctx, rp, d):
-                                assert mobius_oracle(a + g * M) == 0
-                            continue
-                        res = verify_decomposition(data, a, M, rp, d)
-                        checked += 1
-                        bad += len(res.counterexamples)
-                        assert data.S in (-1, 0, 1)
-                        assert (data.S == 0) == data.D.is_zero
-                        # structural invariants
-                        assert gcd(M, data.E).degree == 0
-                        assert (data.E % data.E1).is_zero
-                        assert data.chi.conductor() == data.E1
+                    for d in ds:
+                        if k != d + m:
+                            yield from ((a, M, rp, d) for rp in derivs[d])
+
+
+def _sweep(ctx, ks, ms, ds):
+    """decompose + verify_decomposition on every class of _classes; returns
+    (classes checked, degenerate classes, counterexample count)."""
+    checked = degenerate = bad = 0
+    for a, M, rp, d in _classes(ctx, ks, ms, ds):
+        try:
+            data = decompose(a, M, rp, d)
+        except DegenerateClassError:
+            degenerate += 1
+            for g in derivative_class(ctx, rp, d):
+                assert mobius_oracle(a + g * M) == 0
+            continue
+        res = verify_decomposition(data, a, M, rp, d)
+        checked += 1
+        bad += len(res.counterexamples)
+        assert data.S in (-1, 0, 1)
+        assert (data.S == 0) == data.D.is_zero
+        # structural invariants
+        assert gcd(M, data.E).degree == 0
+        assert (data.E % data.E1).is_zero
+        assert data.chi.conductor() == data.E1
     return checked, degenerate, bad
 
 
 def test_decompose_sweep_gf3_small(gf3):
-    checked, degenerate, bad = _sweep(gf3, ks=[0, 1, 2], ms=[0], d=3)
+    checked, degenerate, bad = _sweep(gf3, ks=[0, 1, 2], ms=[0], ds=[3])
     assert bad == 0
     assert checked > 0
 
 
 def test_decompose_sweep_gf3_modulus(gf3):
-    checked, degenerate, bad = _sweep(gf3, ks=[0, 1, 2, 3], ms=[1], d=2)
+    checked, degenerate, bad = _sweep(gf3, ks=[0, 1, 2, 3], ms=[1], ds=[2])
+    assert bad == 0
+    assert checked > 0
+
+
+def test_decompose_sweep_gf3_quadratic_modulus(gf3):
+    """deg M = 2, where M can be irreducible, split or a square."""
+    checked, degenerate, bad = _sweep(gf3, ks=[0, 1], ms=[2], ds=[1, 2, 3])
     assert bad == 0
     assert checked > 0
 
 
 def test_decompose_sweep_gf9(gf9):
-    checked, degenerate, bad = _sweep(gf9, ks=[0, 1], ms=[0], d=2)
+    checked, degenerate, bad = _sweep(gf9, ks=[0, 1], ms=[0], ds=[2])
     assert bad == 0
     assert checked > 0
+
+
+def _fitted_sign(data, a, M, rprime, d):
+    """The class sign fitted at the first point where chi(w + g) != 0: mu
+    there, from the discriminant route, divided by chi(w + g) = +-1."""
+    for g in derivative_class(a.ctx, rprime, d):
+        cv = data.chi(data.w + g)
+        if cv:
+            return mobius_pellet(a + g * M) * cv
+    raise AssertionError("chi vanishes on a class that decompose did not flag")
+
+
+GF9_SAMPLE = 500
+
+
+# (field, deg a, deg M, class degree): GF(5) and GF(7) cover q = 1 and
+# q = 3 mod 4; GF(9) is a seeded sample of criterion 02's classes
+@pytest.mark.parametrize("pk,ks,ms,ds", [
+    ((3, 1), [0, 1, 2, 3], [0, 1], [3]),
+    ((5, 1), [0, 1, 2], [0, 1], [1, 2]),
+    ((7, 1), [0, 1], [0, 1], [1, 2]),
+    ((3, 2), [0, 1, 2], [0, 1], [1, 2, 3]),
+], ids=["gf3", "gf5", "gf7", "gf9-sample"])
+def test_closed_form_sign_matches_fitted_sign(pk, ks, ms, ds):
+    ctx = field_new(*pk)
+    classes = list(_classes(ctx, ks, ms, ds))
+    if ctx.k > 1:
+        classes = random.Random(9).sample(classes, GF9_SAMPLE)
+    fitted = 0
+    for a, M, rp, d in classes:
+        try:
+            data = decompose(a, M, rp, d)
+        except DegenerateClassError:
+            assert all(mobius_pellet(a + g * M) == 0 for g in derivative_class(ctx, rp, d))
+            continue
+        assert data.S == _fitted_sign(data, a, M, rp, d), (a, M, rp, d)
+        fitted += 1
+    assert fitted > len(classes) // 2
+
+
+def test_decompose_makes_no_mu_call(gf3, monkeypatch):
+    """S comes from resultants alone: decompose runs with every mu route
+    patched to raise, on a signed class, a D = 0 class and a degenerate one."""
+    def refuse(f):
+        raise AssertionError("decompose called a mu route")
+
+    for name in ("mobius", "mobius_pellet", "mobius_oracle"):
+        monkeypatch.setattr(arith, name, refuse)
+        monkeypatch.setattr(decomposition, name, refuse, raising=False)
+    T = Poly.t(gf3)
+    one = Poly.one(gf3)
+    assert decompose(T + one, T, T, 3).S in (-1, 1)
+    assert decompose(T * T, one, T, 3).S == 0
+    with pytest.raises(DegenerateClassError):
+        decompose(T**5 + T**3, one, one, 3)
+
+
+def test_degenerate_class_gf3(gf3):
+    """a = T^5 + T^3, M = 1, g' = 1, d = 3: chi(w + g) = 0 at every point of
+    the class, so decompose raises, and mu is 0 at all three points."""
+    T = Poly.t(gf3)
+    one = Poly.one(gf3)
+    a = T**5 + T**3
+    with pytest.raises(DegenerateClassError):
+        decompose(a, one, one, 3)
+    values = [mobius_oracle(a + g) for g in derivative_class(gf3, one, 3)]
+    assert values == [0, 0, 0]
 
 
 def test_zero_locus_agreement(gf3):
@@ -213,19 +296,3 @@ def test_principal_implies_square_positive(gf3):
                             assert (M % A).is_zero
                             found += 1
     assert found > 0
-
-
-def test_calibration_matches_other_route(gf3):
-    """S calibrated from the discriminant route, verified with the oracle
-    route: any disagreement would show up as a counterexample."""
-    T = Poly.t(gf3)
-    one = Poly.one(gf3)
-    for c2 in range(3):
-        for c1 in range(3):
-            rp = Poly(gf3, [c1, 2 * c2 % 3])
-            try:
-                data = decompose(T + one, T, rp, 3)
-            except DegenerateClassError:
-                continue
-            res = verify_decomposition(data, T + one, T, rp, 3)
-            assert res.ok
