@@ -13,7 +13,8 @@ import os
 DEFAULT_TABLE_CAP = 1 << 20
 
 # Full q*q add/mul tables are built for every field, prime or extension, up
-# to this size; past it field arithmetic runs on the digit and log formulas.
+# to this size; past it the pair tables compute each entry from the digit and
+# log formulas, read by the same flat index.
 PAIR_TABLE_CAP = 1 << 10
 
 # field_new() interns this many contexts (least recently used dropped); each

@@ -3,9 +3,11 @@
 Elements are plain integers in [0, q): the base-p encoding of the
 coefficient vector in the polynomial basis F_p[x]/(modulus), low digit
 first.  A FieldCtx carries discrete-log, inverse and quadratic-character
-tables (plus flat q*q add/mul pair tables for every field up to
-PAIR_TABLE_CAP, prime fields included) and is immutable after
-construction, so it can be shared freely across workers.
+tables and add/mul pair tables that answer x op y at index x * q + y:
+flat lists of q*q entries for every field up to PAIR_TABLE_CAP, prime
+fields included, and past it read-only objects that compute each entry
+from the digits and the log tables.  It is immutable after construction,
+so it can be shared freely across workers.
 field_new interns contexts, so caches elsewhere key on the context itself.
 
 Every finite field, GF(p^k) or a residue field F_q[T]/(P) of
@@ -80,9 +82,9 @@ class FieldCtx:
         self.quad_char_table = quad_char_table
         self.inv_table = inv_table
         self.neg_table = neg_table
-        # flat pair tables, x op y at index x * q + y, for prime and extension
-        # fields alike; None when q > PAIR_TABLE_CAP.  Read-only, like the
-        # other tables.
+        # pair tables, x op y at index x * q + y, for prime and extension
+        # fields alike: lists up to PAIR_TABLE_CAP, _DigitSums and
+        # _LogProducts past it.  Read-only, like the other tables.
         self.add_table = add_table
         self.mul_table = mul_table
         self.key = (p, k, modulus)
@@ -105,18 +107,7 @@ class FieldCtx:
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        t = self.add_table
-        if t is not None:
-            return t[a * self.q + b]
-        p = self.p
-        out = 0
-        m = 1
-        while a or b:
-            out += ((a + b) % p) * m
-            a //= p
-            b //= p
-            m *= p
-        return out
+        return self.add_table[a * self.q + b]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg_table[b])
@@ -125,13 +116,7 @@ class FieldCtx:
         return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        t = self.mul_table
-        if t is not None:
-            return t[a * self.q + b]
-        if a == 0 or b == 0:
-            return 0
-        d = self.dlog_table
-        return self.exp_table[(d[a] + d[b]) % (self.q - 1)]
+        return self.mul_table[a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -166,6 +151,45 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.k}), modulus={list(self.modulus)})"
+
+
+class _DigitSums:
+    """The add table of GF(p^k) past PAIR_TABLE_CAP: entry x * q + y is
+    x + y, the base-p digits added mod p."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.p, self.q = p, q
+
+    def __getitem__(self, i: int) -> int:
+        a, b = divmod(i, self.q)
+        p = self.p
+        out = 0
+        m = 1
+        while a or b:
+            out += (a + b) % p * m
+            a //= p
+            b //= p
+            m *= p
+        return out
+
+
+class _LogProducts:
+    """The mul table of GF(p^k) past PAIR_TABLE_CAP: entry x * q + y is
+    exp[(dlog x + dlog y) % (q - 1)], and 0 when x or y is 0 (dlog -1)."""
+
+    __slots__ = ("q", "exp", "dlog")
+
+    def __init__(self, q: int, exp: list[int], dlog: list[int]):
+        self.q, self.exp, self.dlog = q, exp, dlog
+
+    def __getitem__(self, i: int) -> int:
+        q, d = self.q, self.dlog
+        a, b = d[i // q], d[i % q]
+        if a < 0 or b < 0:
+            return 0
+        return self.exp[(a + b) % (q - 1)]
 
 
 def structure_constants(ctx: FieldCtx, f: tuple[int, ...]) -> np.ndarray:
@@ -245,7 +269,8 @@ def pair_tables(ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """q x q numpy add/mul tables, built by broadcasting: addition digit by
     digit mod p, multiplication through the discrete-log tables.  Read-only,
     and memoised per interned context for the sieve; _build flattens an
-    uncached copy, so fields past the sieve's reach keep no arrays."""
+    uncached copy into the context's list tables up to PAIR_TABLE_CAP, so
+    fields past the sieve's reach keep no arrays."""
     q, p = ctx.q, ctx.p
     x = np.arange(q, dtype=np.int64)
     add = np.zeros((q, q), dtype=np.int64)
@@ -270,16 +295,17 @@ def field_new(p: int, k: int = 1, modulus=None) -> FieldCtx:
     is chosen, so encodings are stable across runs.  Contexts are interned:
     the same (p, k, modulus), given or chosen, returns the same object while
     it stays among the last FIELD_CACHE_SIZE built.  Every call fails with
-    ResourceLimitError once q exceeds the table cap (FFMOBIUS_TABLE_CAP).
+    ResourceLimitError once q exceeds the table cap (FFMOBIUS_TABLE_CAP),
+    checked before p is tested for primality and before p^k is formed for
+    a k past the cap's bit length.
     """
-    if _int_factorization(p) != {p: 1}:
-        raise ValueError(f"characteristic {p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
     cap = field_table_cap()
-    q = p**k
-    if q > cap:
-        raise ResourceLimitError(f"q = {q} exceeds table cap {cap}")
+    if p > cap or k > cap.bit_length() or p**k > cap:
+        raise ResourceLimitError(f"q = {p}^{k} exceeds table cap {cap}")
+    if _int_factorization(p) != {p: 1}:
+        raise ValueError(f"characteristic {p} is not prime")
     if modulus is None:
         return _build(p, k, _default_modulus(p, k))
     mod = tuple(int(c) % p for c in modulus)
@@ -319,8 +345,8 @@ def _build(p: int, k: int, mod: tuple[int, ...]) -> FieldCtx:
     dlog_table[0] = -1
     quad_char_table = None if p == 2 else [0] + (1 - 2 * (dlog[1:] & 1)).tolist()
 
-    ctx = FieldCtx(p, k, mod, generator, exp_table, dlog_table,
-                   quad_char_table, inv_table, neg_table, None, None)
+    ctx = FieldCtx(p, k, mod, generator, exp_table, dlog_table, quad_char_table, inv_table,
+                   neg_table, _DigitSums(p, q), _LogProducts(q, exp_table, dlog_table))
     if q <= PAIR_TABLE_CAP:  # uncached: only the sieve keeps the arrays
         add, mul = pair_tables.__wrapped__(ctx)
         ctx.add_table, ctx.mul_table = pool[add.ravel()].tolist(), pool[mul.ravel()].tolist()

@@ -52,23 +52,18 @@ def _trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c[:n])
 
 
-# _add, _mul, _mod and _frob run on one of two paths, for prime and
-# extension fields alike: the flat pair tables (x op y at x * q + y) for
-# fields up to PAIR_TABLE_CAP, and the FieldCtx methods beyond that.
+# _add, _mul, _mod and _frob read the pair tables (x op y at x * q + y) of
+# every field, prime or extension: flat lists up to PAIR_TABLE_CAP, and past
+# it the objects of field.py that compute each entry.
 
 
 def _add(ctx, a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    if ctx.add_table is not None:
-        at, q = ctx.add_table, ctx.q
-        for i, v in enumerate(b):
-            out[i] = at[out[i] * q + v]
-    else:
-        add = ctx.add
-        for i, v in enumerate(b):
-            out[i] = add(out[i], v)
+    at, q = ctx.add_table, ctx.q
+    for i, v in enumerate(b):
+        out[i] = at[out[i] * q + v]
     return _trim(out)
 
 
@@ -95,22 +90,13 @@ def _mul(ctx, a, b):
         return ()
     out = [0] * (len(a) + len(b) - 1)
     nz = [(j, bj) for j, bj in enumerate(b) if bj]
-    mt = ctx.mul_table
-    if mt is not None:
-        at, q = ctx.add_table, ctx.q
-        for i, ai in enumerate(a):
-            if ai:
-                row = ai * q
-                for j, bj in nz:
-                    j += i
-                    out[j] = at[out[j] * q + mt[row + bj]]
-    else:
-        mul, add = ctx.mul, ctx.add
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in nz:
-                    j += i
-                    out[j] = add(out[j], mul(ai, bj))
+    at, mt, q = ctx.add_table, ctx.mul_table, ctx.q
+    for i, ai in enumerate(a):
+        if ai:
+            row = ai * q
+            for j, bj in nz:
+                j += i
+                out[j] = at[out[j] * q + mt[row + bj]]
     return _trim(out)
 
 
@@ -131,33 +117,18 @@ def _mod(ctx, a, b, quo=None):
     shifts = range(len(a) - 1 - db, -1, -1)
     low = b[:db]
     neg = ctx.neg_table
-    mt = ctx.mul_table
-    if mt is not None:
-        at, q = ctx.add_table, ctx.q
-        for shift in shifts:
-            c = rem[shift + db]
-            if c:
-                if inv_lead != 1:
-                    c = mt[c * q + inv_lead]
-                if quo is not None:
-                    quo[shift] = c
-                row = neg[c] * q
-                for j, bj in enumerate(low, shift):
-                    if bj:
-                        rem[j] = at[rem[j] * q + mt[row + bj]]
-    else:
-        mul, add = ctx.mul, ctx.add
-        for shift in shifts:
-            c = rem[shift + db]
-            if c:
-                if inv_lead != 1:
-                    c = mul(c, inv_lead)
-                if quo is not None:
-                    quo[shift] = c
-                nc = neg[c]
-                for j, bj in enumerate(low, shift):
-                    if bj:
-                        rem[j] = add(rem[j], mul(nc, bj))
+    at, mt, q = ctx.add_table, ctx.mul_table, ctx.q
+    for shift in shifts:
+        c = rem[shift + db]
+        if c:
+            if inv_lead != 1:
+                c = mt[c * q + inv_lead]
+            if quo is not None:
+                quo[shift] = c
+            row = neg[c] * q
+            for j, bj in enumerate(low, shift):
+                if bj:
+                    rem[j] = at[rem[j] * q + mt[row + bj]]
     return _trim(rem[:db])
 
 
@@ -271,22 +242,13 @@ def _frobenius(ctx, f):
 def _frob(ctx, h, rows):
     """h^q mod f for h reduced mod f, given rows = _frobenius(ctx, f)."""
     out = [0] * len(rows)
-    mt = ctx.mul_table
-    if mt is not None:
-        at, q = ctx.add_table, ctx.q
-        for hi, row in zip(h, rows):
-            if hi:
-                base = hi * q
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] = at[out[j] * q + mt[base + rj]]
-    else:
-        mul, add = ctx.mul, ctx.add
-        for hi, row in zip(h, rows):
-            if hi:
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] = add(out[j], mul(hi, rj))
+    at, mt, q = ctx.add_table, ctx.mul_table, ctx.q
+    for hi, row in zip(h, rows):
+        if hi:
+            base = hi * q
+            for j, rj in enumerate(row):
+                if rj:
+                    out[j] = at[out[j] * q + mt[base + rj]]
     return _trim(out)
 
 

@@ -161,6 +161,20 @@ def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     assert err.startswith("ffmobius: error: ") and err.count("\n") == 1
 
 
+def test_huge_prime_field_is_refused_before_primality_test():
+    """A q of 19 digits is past the table cap: exit 2 at once, not after
+    trial division of q up to its square root."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env.pop("FFMOBIUS_TABLE_CAP", None)
+    argv = ["mobius-ap", "--q", "1000000000000000003", "--M", "T", "--a", "1", "--D", "2"]
+    done = subprocess.run([sys.executable, "-m", "ffmobius.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=5)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("ffmobius: error: ") and done.stderr.count("\n") == 1
+
+
 def test_kloosterman_and_c_sum(capsys):
     code, out = run(capsys, "kloosterman", "--q", "3", "--M", "T", "--x", "1", "--z", "1")
     assert code == 0

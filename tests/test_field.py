@@ -109,6 +109,24 @@ def test_table_cap(monkeypatch):
         field_new(3)
 
 
+def test_field_new_checks_the_cap_before_primality(monkeypatch):
+    """k is checked first, then the cap on p, k and p^k, and only then is p
+    tested for primality, so a huge p or k is refused at once."""
+    monkeypatch.delenv("FFMOBIUS_TABLE_CAP", raising=False)
+    with pytest.raises(ValueError, match="extension degree"):
+        field_new(4, 0)
+    for p, k in [(10**18, 1), (4, 10**6), (10**18 + 3, 1), (2, 21), (3, 10**6)]:
+        with pytest.raises(ResourceLimitError):
+            field_new(p, k)
+    with pytest.raises(ValueError, match="not prime"):
+        field_new(4)
+    monkeypatch.setenv("FFMOBIUS_TABLE_CAP", "8")
+    assert field_new(2, 3).q == 8
+    for p, k in [(2, 4), (3, 2), (11, 1), (9, 1)]:
+        with pytest.raises(ResourceLimitError):
+            field_new(p, k)
+
+
 def test_field_new_interns_contexts():
     """One context per (p, k, modulus), whether the modulus is given or
     chosen; a different modulus is a different context."""

@@ -2,13 +2,13 @@
 FieldCtx methods alone, and the residue-ring unit sums (Kloosterman, C-sum,
 aggregate) against per-unit references written with polynomial products.
 
-The kernels take one of two paths, for prime and extension fields alike:
-the flat pair tables for fields up to PAIR_TABLE_CAP, and the FieldCtx
-methods beyond it (GF(1031) and GF(3^7) here).  Up to the cap the FieldCtx
-methods read the same pair tables as the kernels, so
-tests/test_golden_fields.py checks every table entry against arithmetic
-that reads no pair table.  The Frobenius kernels (_frobenius, _frob,
-_pow_qsum) are checked against _powmod on the same set.
+The kernels and the FieldCtx methods read the same pair tables, for prime
+and extension fields alike: flat lists up to PAIR_TABLE_CAP, and past it
+objects that compute each entry (GF(1031) and GF(3^7) here).  So
+tests/test_golden_fields.py checks the table entries, every one up to the
+cap and a seeded sample past it, against arithmetic that reads no pair
+table.  The Frobenius kernels (_frobenius, _frob, _pow_qsum) are checked
+against _powmod on the same set.
 """
 
 import random
@@ -36,8 +36,11 @@ FIELDS = {q: field_new(p, k) for q, (p, k) in {
 
 
 def test_field_set_covers_every_path():
-    assert all(FIELDS[q].mul_table is not None for q in (3, 7, 4, 8, 9, 25, 27))
-    assert all(FIELDS[q].mul_table is None and q > PAIR_TABLE_CAP for q in (1031, 2187))
+    for q in (3, 7, 4, 8, 9, 25, 27):
+        assert all(isinstance(t, list) and len(t) == q * q for t in (FIELDS[q].add_table, FIELDS[q].mul_table))
+    for q in (1031, 2187):
+        assert q > PAIR_TABLE_CAP
+        assert not isinstance(FIELDS[q].add_table, list) and not isinstance(FIELDS[q].mul_table, list)
     assert FIELDS[1031].k == 1 and FIELDS[2187].k == 7
 
 
