@@ -12,11 +12,11 @@ complete sums C(g, h) and the rational Kloosterman aggregate are one
 routine on top: a count, over the units y, of a linear form in the digits
 of y^-1 and y.
 
-Quadratic (and principal) characters evaluate to exact integers, through
-the Legendre symbol of a norm, with no discrete-log table; general
-characters return complex unit roots.  Sums of bounded unit roots are
-accumulated as integer counts per root and only converted to floats at
-the end, so the 1e-9 comparison tolerance is never stressed.
+Real characters evaluate to exact integers, as the Jacobi symbol of their
+conductor, with no discrete-log table; general characters return complex
+unit roots.  Sums of bounded unit roots are accumulated as integer counts
+per root and only converted to floats at the end, so the 1e-9 comparison
+tolerance is never stressed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .config import FACTOR_CACHE_SIZE
 from .factor import divisor_count, factor, is_irreducible
 from .field import cyclic_group, structure_constants
 from .poly import Poly, gcd, is_squarefree, poly_from_index, polys_below
-from .poly import _digits, _ext_gcd, _index, _is_irreducible, _mod, _resultant  # tuple kernels
+from .poly import _digits, _ext_gcd, _gcd, _index, _is_irreducible, _mod, _resultant  # tuple kernels
 
 __all__ = [
     "DirichletCharacter",
@@ -53,8 +53,7 @@ class _LocalLogs:
     """The residue field F_q[T]/(P) of a monic irreducible P.  Its discrete
     logs against the smallest primitive residue (in encoding order, from
     field.cyclic_group) are built on first access to `generator` or `dlog`:
-    real characters need neither, they read the quadratic character off the
-    norm (see DirichletCharacter.__call__)."""
+    real characters need neither (see DirichletCharacter.__call__)."""
 
     __slots__ = ("prime", "degree", "order", "_generator", "_dlog")
 
@@ -92,36 +91,30 @@ def local_logs(prime: Poly) -> _LocalLogs:
 class DirichletCharacter:
     """Multiplicative character mod a squarefree monic M, as an exponent
     vector against the per-factor generators.  Modulus 1 (no factors) is the
-    everywhere-1 character and is only produced internally."""
+    everywhere-1 character and is only produced internally.  A real
+    character (values in {-1, 0, 1}: every exponent is 0 or half its order)
+    is the Jacobi symbol (f/E1) of its conductor E1 on the units mod M."""
 
-    __slots__ = ("modulus", "locals", "exponents", "_lcm")
+    __slots__ = ("modulus", "locals", "exponents", "is_real", "_conductor", "_cofactor", "_lcm")
 
     def __init__(self, modulus: Poly, locs: tuple[_LocalLogs, ...], exponents: tuple[int, ...]):
         self.modulus = modulus
         self.locals = locs
         self.exponents = tuple(e % loc.order for e, loc in zip(exponents, locs))
+        self.is_real = all(2 * e % loc.order == 0 for e, loc in zip(self.exponents, locs))
+        one = Poly.one(modulus.ctx)
+        self._conductor = math.prod((loc.prime for e, loc in zip(self.exponents, locs) if e), start=one)
+        self._cofactor = math.prod((loc.prime for e, loc in zip(self.exponents, locs) if not e), start=one)
         self._lcm = math.lcm(*(loc.order for loc in locs)) if locs else 1
 
     @property
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    @property
-    def is_real(self) -> bool:
-        """Values in {-1, 0, 1}: every local exponent is 0 or half the order."""
-        return all(
-            e == 0 or (loc.order % 2 == 0 and e == loc.order // 2)
-            for e, loc in zip(self.exponents, self.locals)
-        )
-
     def conductor(self) -> Poly:
         """Product of the factors with nontrivial local component (valid
         because the modulus is squarefree)."""
-        out = Poly.one(self.modulus.ctx)
-        for e, loc in zip(self.exponents, self.locals):
-            if e:
-                out = out * loc.prime
-        return out
+        return self._conductor
 
     def label(self) -> str:
         if self.is_principal:
@@ -148,15 +141,15 @@ class DirichletCharacter:
         complex unit root in general."""
         ctx = self.modulus.ctx
         if self.is_real:
-            # r is a square in F_q[T]/(P) iff its norm Res(P, r) is one in F_q
-            out = 1
-            for e, loc in zip(self.exponents, self.locals):
-                r = _mod(ctx, f.coeffs, loc.prime.coeffs)
-                if not r:
-                    return 0
-                if e and ctx.quad_char(_resultant(ctx, loc.prime.coeffs, r)) < 0:
-                    out = -out
-            return out
+            if not f.coeffs:
+                return 0 if self.locals else 1
+            if len(_gcd(ctx, f.coeffs, self._cofactor.coeffs)) > 1:
+                return 0
+            # Res(E1, f) is the product of the norms of f mod each P | E1, and
+            # f mod P is a square iff its norm is; at p = 2, where quad_char
+            # raises, every real character is principal
+            E1 = self._conductor.coeffs
+            return ctx.quad_char(_resultant(ctx, E1, f.coeffs)) if len(E1) > 1 else 1
         lcm = self._lcm
         phase = 0
         for e, loc in zip(self.exponents, self.locals):

@@ -544,16 +544,21 @@ def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly) -> ExperimentRepor
     # g' is supported on positions j-1 for p not dividing j <= d: the free
     # coefficients j g_j, j < d, run over all of GF(q) as g_j does (j is a
     # unit mod p), and position d-1 holds the fixed leading term d mod p.
+    # They map F_q-linearly onto residues mod M: q^(free - rank) of them
+    # hit a when the target a - (d mod p) T^(d-1) is in the span, else none.
+    # One echelon pass, pivots keyed by degree, reduces the target last.
     free = [j - 1 for j in range(1, d) if j % p]
-    coeffs = [0] * d
-    coeffs[d - 1] = d % p
+    T = Poly.t(ctx)
+    target = (a - Poly(ctx, [0] * (d - 1) + [d % p])) % M
+    pivots = {}  # degree -> the monic residue that clears it
+    for r in [T.powmod(i, M) for i in free] + [target]:
+        rank = len(pivots)
+        while not r.is_zero and r.degree in pivots:
+            r = r - pivots[r.degree].scale(r.lc)
+        if not r.is_zero:
+            pivots[r.degree] = r.monic()
     denominator = ctx.q ** len(free)
-    numerator = 0
-    for values in itertools.product(range(ctx.q), repeat=len(free)):
-        for i, c in zip(free, values):
-            coeffs[i] = c
-        if ((Poly(ctx, coeffs) - a) % M).is_zero:
-            numerator += 1
+    numerator = ctx.q ** (len(free) - rank) if len(pivots) == rank else 0
     value = Fraction(numerator, denominator)
     reference = Fraction(1, ctx.q ** min(M.degree, (d - 1) // p))
     return ExperimentReport(
@@ -571,20 +576,22 @@ def derivative_ratio(ctx: FieldCtx, d: int, M: Poly, a: Poly) -> ExperimentRepor
 
 def square_class_count(ctx: FieldCtx, d: int, M: Poly, A: Poly, a: Poly, alpha: float = 0.25) -> ExperimentReport:
     """Count g with deg g < d and a + gM = lambda A B^2 (lambda a unit),
-    reported against q^((1/2+alpha)d); advisory, no pinned constant."""
+    reported against q^((1/2+alpha)d); advisory, no pinned constant.  A
+    nonzero a + gM has at most one such (lambda, monic B), so the count
+    walks those pairs and solves lambda A B^2 = a + gM for g."""
     if not (M.is_monic and A.is_monic):
         raise ValueError("M and A must be monic")
-    count = 0
-    for g in polys_below(ctx, d):
-        f = a + g * M
-        if f.is_zero:
-            count += 1  # lambda * A * 0^2
-            continue
-        h, r = divmod(f, A)
-        if not r.is_zero:
-            continue
-        if all(mult % 2 == 0 for _, _, mult in distinct_degree_split(h.monic())):
-            count += 1
+    if d < 0:
+        raise ValueError("degree bound must be >= 0")
+    bound = max(len(a.coeffs), d + M.degree)  # deg(a + gM) < bound
+    g, r = divmod(a, M)
+    count = int(r.is_zero and len(g.coeffs) <= d)  # a + gM = 0 at g = -a/M
+    for e in range((bound - A.degree + 1) // 2):  # deg(A B^2) = deg A + 2e < bound
+        for B in monics(ctx, e):
+            AB2 = A * B * B
+            for lam in range(1, ctx.q):
+                g, r = divmod(AB2.scale(lam) - a, M)
+                count += r.is_zero and len(g.coeffs) <= d
     reference = ctx.q ** ((0.5 + alpha) * d)
     return ExperimentReport(
         experiment="square-class",

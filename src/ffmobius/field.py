@@ -228,12 +228,12 @@ def _unit_group(p: int, B: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         return out
 
     ells = _int_factorization(order)
+    # the loop always breaks: in a non-field of dimension >= 2 a nonzero
+    # non-unit passes every test, and GF(2) breaks at g = 1
     for g in range(1, order + 1):
         mat = np.tensordot(g // pw % p, B, 1) % p
         if all((power(mat, order // ell) != one).any() for ell in ells):
             break
-    else:
-        raise ValueError("no primitive residue: the modulus is reducible")
     # g passed the primitivity test, so g^order = 1 only if the units have
     # order p^n - 1, i.e. the algebra is a field
     if (power(mat, order) != one).any():

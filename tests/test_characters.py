@@ -428,6 +428,21 @@ def test_real_characters_match_dlog_parity(ctxname, dmax, request):
                     assert chi1(f) == (_dlog_parity_value(on, f) if unit else 0)
 
 
+@pytest.mark.parametrize("ctxname", ["gf2", "gf4"])
+def test_principal_characters_in_characteristic_2(ctxname, request):
+    """At p = 2 every real character is principal, and the quadratic character
+    of F_q does not exist: the principal character mod every squarefree monic
+    E of degree <= 3 is 1 on the units and 0 elsewhere, f = 0 included."""
+    ctx = request.getfixturevalue(ctxname)
+    one = Poly.one(ctx)
+    for d in range(1, 4):
+        for E in squarefree_monics(ctx, d):
+            chi = quadratic_character_mod(E, one)
+            assert chi.is_principal and chi.is_real and chi.conductor() == one
+            for f in polys_below(ctx, d + 1):
+                assert chi(f) == (1 if gcd(f, E).degree == 0 else 0)
+
+
 @pytest.mark.parametrize("coeffs", [(2, 0, 1), (0, 0, 1)], ids=["T^2+2", "T^2"])
 def test_reducible_prime_rejected(coeffs, gf3):
     P = Poly(gf3, coeffs)

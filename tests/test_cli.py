@@ -144,12 +144,14 @@ def test_principal_char_rejected(capsys):
     (["sign-change", "--q", "3", "--f", "T^20", "--eta", "nan"], {}),
     (["square-class", "--q", "3", "--d", "2", "--alpha", "inf"], {}),
     (["square-class", "--q", "3", "--d", "2", "--alpha", "nan"], {}),
+    (["square-class", "--q", "3", "--d", "-1"], {}),
 ], ids=["twin-a0", "table-cap-env", "past-table-cap", "char-idx", "char-selector",
         "no-degree", "no-field", "five-shifts", "reversed-d-range", "one-ended-d-range",
         "q-no-degree", "q-no-prime", "q-bad-degree", "unknown-flag", "non-integer-d",
         "no-subcommand", "chowla-negative-d", "corr-negative-d", "derivative-d0",
         "derivative-negative-d", "main-term-negative-d", "inv-additive-negative-d",
-        "eta-inf", "eta-minus-inf", "eta-nan", "alpha-inf", "alpha-nan"])
+        "eta-inf", "eta-minus-inf", "eta-nan", "alpha-inf", "alpha-nan",
+        "square-class-negative-d"])
 def test_bad_input_exits_2_with_one_line(argv, env, capsys, monkeypatch):
     """Bad input is a usage or domain error: exit 2, a single stderr line,
     no traceback and no report; exit 1 stays reserved for a failed bound."""

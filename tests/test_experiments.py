@@ -9,6 +9,7 @@ from ffmobius import (
     Poly,
     ResourceLimitError,
     characters_mod,
+    factor,
     field_new,
     gcd,
     is_irreducible,
@@ -504,10 +505,12 @@ def test_derivative_ratio_d1(gf3):
     assert derivative_ratio(gf3, 1, T, Poly.zero(gf3)).value == 0
 
 
-def test_derivative_ratio_counts_match_enumeration(gf3, gf5, gf9):
-    # degrees with p | d and p not dividing d in each field; M squarefree
+def test_derivative_ratio_counts_match_enumeration(gf3, gf5, gf7, gf9):
+    # degrees with p | d and p not dividing d (all of them below 7 in GF(7));
+    # M squarefree, T^3 + 2T + 1 and T^3 + T of degree 3
     for ctx, M, degrees in ((gf3, (1, 0, 1), (2, 3, 4)), (gf5, (2, 0, 1), (3, 4, 5)),
-                            (gf9, (1, 0, 1), (2, 3, 4))):
+                            (gf9, (1, 0, 1), (2, 3, 4)), (gf3, (1, 2, 0, 1), (2, 3, 4, 5, 6)),
+                            (gf7, (0, 1, 0, 1), (2, 3, 4, 5))):
         M = Poly(ctx, M)
         for d in degrees:
             derivs = {g.derivative().coeffs for g in monics(ctx, d)}
@@ -517,6 +520,13 @@ def test_derivative_ratio_counts_match_enumeration(gf3, gf5, gf9):
                 num = sum(1 for h in derivs if ((Poly(ctx, h) - a) % M).is_zero)
                 assert rep.details["numerator"] == num
                 assert rep.details["denominator"] == len(derivs)
+    # past enumeration: at d = 40 the free residues T^(j-1) mod M span every
+    # residue, so each class holds q^-m of the derivatives
+    M = Poly(gf9, (3, 1, 0, 1))
+    for aidx in (0, 1, 2, gf9.q, gf9.q + 1):
+        rep = derivative_ratio(gf9, 40, M, Poly(gf9, [aidx % gf9.q, aidx // gf9.q]))
+        assert rep.value == Fraction(1, 9**3)
+        assert rep.details["denominator"] == 9 ** sum(1 for j in range(1, 40) if j % 3)
 
 
 def test_square_class_count_matches_constructive_oracle(gf3):
@@ -535,21 +545,28 @@ def test_square_class_count_matches_constructive_oracle(gf3):
         assert rep.value == len(values)
 
 
-def test_square_class_count_with_progression(gf3):
-    T = Poly.t(gf3)
-    one = Poly.one(gf3)
-    rep = square_class_count(gf3, 3, T, one, one)
+@pytest.mark.parametrize("ctxname,M,A,a,d", [
+    ("gf3", (0, 1), (1,), (1,), 3),
+    ("gf5", (2, 0, 1), (2, 1), (3, 1), 4),
+    ("gf5", (2, 1), (0, 0, 1), (0, 0, 1), 4),
+    ("gf9", (1, 0, 1), (0, 1), (1,), 4),
+    ("gf9", (3, 1), (1, 1), (0, 4), 3),
+], ids=["gf3-T-1-1", "gf5-T^2+2-T+2-T+3", "gf5-T+2-T^2-T^2", "gf9-T^2+1-T-1", "gf9-T+3-T+1-4T"])
+def test_square_class_count_with_progression(ctxname, M, A, a, d, request):
+    """Against the per-g route: factor (a + gM) / A for every g."""
+    ctx = request.getfixturevalue(ctxname)
+    M, A, a = (Poly(ctx, c) for c in (M, A, a))
+    rep = square_class_count(ctx, d, M, A, a)
     direct = 0
-    for g in polys_below(gf3, 3):
-        f = one + g * T
+    for g in polys_below(ctx, d):
+        f = a + g * M
         if f.is_zero:
             direct += 1
             continue
-        from ffmobius import factor as _factor
-
-        if all(m % 2 == 0 for _, m in _factor(f).factors):
+        h, r = divmod(f, A)
+        if r.is_zero and all(m % 2 == 0 for _, m in factor(h).factors):
             direct += 1
-    assert rep.value == direct
+    assert rep.value == direct > 0
 
 
 # -- sign changes -----------------------------------------------------------

@@ -157,3 +157,12 @@ def test_detects_an_unbounded_memo():
     assert _unbounded_memos({"m.py": "@lru_cache(maxsize=None)\ndef f(x): return x\n"}) == ["m.f"]
     assert _unbounded_memos({"m.py": "@functools.lru_cache(None)\ndef f(x): return x\n"}) == ["m.f"]
     assert _unbounded_memos({"m.py": "@lru_cache(maxsize=8)\ndef f(x): return x\n"}) == []
+
+
+def test_every_file_parses_as_the_oldest_supported_python():
+    """pyproject admits Python >= 3.10, so no file may use newer syntax."""
+    root = TESTS.parent
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
+    assert {p.relative_to(root).parts[0] for p in paths} == {"src", "tests", "perfbench"}
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
